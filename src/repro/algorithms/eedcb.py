@@ -15,10 +15,10 @@ The paper's main algorithm for static channels:
 On a fading TVEG the DCS weights are the ``w0`` single-hop costs, so the
 identical pipeline doubles as FR-EEDCB's backbone-selection stage.
 
-Stages 2–3 run on one of the interchangeable compute kernels selected by
-``compute=`` (see :mod:`repro.compute`): the pure-stdlib path (the
-bit-for-bit oracle, and the default when nothing is requested) or the
-numpy array kernels.  The auxiliary graph itself is source-independent,
+The auxiliary-graph build and the Steiner search run on one of the
+interchangeable compute kernels selected by ``compute=`` (see
+:mod:`repro.compute`): the pure-stdlib path (the bit-for-bit oracle, and
+the default when nothing is requested) or the numpy array kernels.  The auxiliary graph itself is source-independent,
 so built graphs are retained on the TVEG's
 :meth:`~repro.tveg.graph.TVEG.aux_cache` and re-rooted per source — the
 amortization behind :func:`repro.api.plan_broadcast_many`.
@@ -207,12 +207,7 @@ class EEDCB(Scheduler):
                 schedule = extract_schedule(aux, edges)
             raw_cost = schedule.total_cost
             if self._reduce:
-                # Pin the replay kernel to the scheduler's resolved mode so
-                # a compute="python" run stays numpy-free end to end.
-                kw = {
-                    "targets": self._targets,
-                    "compute": "numpy" if self._mode == "numpy" else "python",
-                }
+                kw = {"targets": self._targets}
                 with obs.stage(stage_seconds, "reduce", "eedcb.reduce"):
                     schedule = remove_redundant(
                         tveg, schedule, source, deadline, **kw

@@ -18,10 +18,20 @@ by node index and adjacency order, this makes ``backend="compact"`` and
 ``backend="nx"`` runs byte-identical, not merely equivalent — a property
 the equivalence suite pins down.  :meth:`CompactAuxGraph.to_networkx` /
 :func:`from_aux_graph` convert losslessly in both directions.
+
+This eager builder is the ``compute="python"`` path and the
+element-for-element oracle for the numpy kernel's
+:class:`~repro.compute.numpy_backend.NumpyAuxGraph`, a subclass that keeps
+the same ids and rows in a prefix-shared layout with no per-edge array.
+:meth:`CompactAuxGraph.retarget` is a shallow copy so that it serves both
+forms; on the subclass the ``indptr`` / ``targets`` / ``weights`` /
+``times`` arrays — read only by oracles, tests, and :meth:`to_networkx` —
+are expanded on first access and cached.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from array import array
 from bisect import bisect_right
@@ -84,15 +94,24 @@ class CompactAuxGraph:
         return len(self.targets)
 
     def number_of_nodes(self) -> int:
-        return len(self.aux_nodes)
+        return self.num_nodes
 
     def number_of_edges(self) -> int:
-        return len(self.targets)
+        return self.num_edges
 
     @property
     def dcs_levels(self) -> int:
         """Total DCS levels over every (node, point) with a usable DCS."""
         return sum(len(cs) for cs in self.cost_sets.values())
+
+    @property
+    def resident_bytes(self) -> int:
+        """Bytes held by the graph's flat arrays (the ``auxgraph.resident_bytes``
+        gauge)."""
+        return sum(
+            memoryview(a).nbytes
+            for a in (self.indptr, self.targets, self.weights, self.times)
+        )
 
     def time_of(self, node: Node, point_index: int) -> float:
         return self.dts.points(node)[point_index]
@@ -137,8 +156,6 @@ class CompactAuxGraph:
         as the builder would have produced it.  This is what lets
         ``plan_broadcast_many`` pay for one build across k sources.
         """
-        from dataclasses import replace
-
         if self.state_base is None:
             raise GraphModelError(
                 "retarget requires a builder-produced graph "
@@ -155,19 +172,17 @@ class CompactAuxGraph:
             if targets is None
             else tuple(n for n in targets if n != source)
         )
-        return replace(
-            self,
-            source=source,
-            root=state_node(source, 0),
-            root_index=self.state_base[source],
-            terminals=tuple(
-                state_node(n, len(self.dts.points(n)) - 1) for n in wanted
-            ),
-            terminal_indices=tuple(
-                self.state_base[n] + len(self.dts.points(n)) - 1
-                for n in wanted
-            ),
+        moved = copy.copy(self)
+        moved.source = source
+        moved.root = state_node(source, 0)
+        moved.root_index = self.state_base[source]
+        moved.terminals = tuple(
+            state_node(n, len(self.dts.points(n)) - 1) for n in wanted
         )
+        moved.terminal_indices = tuple(
+            self.state_base[n] + len(self.dts.points(n)) - 1 for n in wanted
+        )
+        return moved
 
     # ------------------------------------------------------------------
     # conversion (lossless, for the non-greedy solvers and tests)
@@ -347,8 +362,7 @@ def build_compact_aux_graph(
     obs.gauge(
         "auxgraph.dcs_levels", sum(len(cs) for cs in cost_sets.values())
     )
-    obs.counter("auxgraph.compact_builds")
-    return CompactAuxGraph(
+    graph = CompactAuxGraph(
         indptr=indptr,
         targets=targets_arr,
         weights=weights_arr,
@@ -363,3 +377,6 @@ def build_compact_aux_graph(
         cost_sets=cost_sets,
         state_base=state_base,
     )
+    obs.gauge("auxgraph.resident_bytes", graph.resident_bytes)
+    obs.counter("auxgraph.compact_builds")
+    return graph

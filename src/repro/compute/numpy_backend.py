@@ -1,10 +1,10 @@
 """Array-native kernels for the sweep/DCS/Steiner hot path.
 
-Three stages of the EEDCB pipeline dominate ``eedcb_run`` (the auxiliary
-graph build is ~80 % of it at N=50): the per-node timeline sweeps plus
-contact-cost evaluation, the DCS level construction, and the greedy
-directed-Steiner expansion.  This module reimplements them as batched
-numpy operations while reproducing the stdlib path **byte for byte**:
+Three stages of the EEDCB pipeline dominate a cold plan: the per-node
+timeline sweeps plus contact-cost evaluation, the DCS level construction
+and auxiliary-graph build, and the greedy directed-Steiner expansion.  This
+module reimplements them as batched numpy operations while reproducing the
+stdlib path **byte for byte**:
 
 * :func:`node_components` replaces the event-by-event
   :class:`~repro.temporal.sweep.NodeSweep` with per-node *contact
@@ -12,20 +12,24 @@ numpy operations while reproducing the stdlib path **byte for byte**:
   neighbor)`` row per τ-eroded adjacency component, costs taken from the
   TVEG's shared per-contact cost cache so they are the same float objects
   the point-query path produces.
-* :func:`build_numpy_aux_graph` derives every DCS and every auxiliary
-  node/edge from those arrays with ``searchsorted`` / cumulative-sum
-  queries instead of per-entry Python loops, emitting the exact node ids,
-  edge order, and weights of
+* :func:`build_numpy_aux_graph` derives every auxiliary node and edge from
+  those arrays with ``searchsorted`` / cumulative-sum queries instead of
+  per-entry Python loops, and stores the result as a
+  :class:`NumpyAuxGraph`: a *prefix-shared* layout with no per-edge array.
+  By Property 6.1 a DCS level covers a prefix of the receivers the next
+  level covers, so each point's receivers are stored once and every
+  transmission node's row is a view into that list.  Node ids, row order,
+  and weights are exactly those of
   :func:`~repro.auxgraph.compact.build_compact_aux_graph` (whose module
-  docstring explains why insertion order is part of the contract).
+  docstring explains why that order is part of the contract); node
+  tuples, cost sets, and the eager CSR are decoded only on access.
 * :func:`greedy_incremental_dst_numpy` runs the same incremental
   multi-source Dijkstra as
   :func:`~repro.steiner.dst.greedy_incremental_dst` but decodes each
-  settled CSR row with two bulk ``tolist`` calls and relaxes over native
-  ints and floats (auxiliary rows are short, so batch decoding beats both
-  per-element ``array`` indexing and per-row vectorization).  The heap
-  receives the same (distance, node) multiset, so the pop sequence — and
-  with it the ``expansions`` counter — is identical.
+  settled row straight from the shared layout with one bulk ``tolist``
+  call and relaxes over native ints and floats.  The heap receives the
+  same (distance, node) multiset, so the pop sequence — and with it the
+  ``expansions`` counter — is identical.
 
 Byte-identity has one precondition: the distance provider must certify
 ``constant_within_contacts`` (the standard trace pipeline does), because
@@ -41,7 +45,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from collections.abc import Mapping
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -51,6 +56,7 @@ from ..auxgraph.compact import CompactAuxGraph, build_compact_aux_graph
 from ..auxgraph.model import AuxNode, state_node, tx_node
 from ..dts.dts import DiscreteTimeSet, build_dts
 from ..errors import GraphModelError, InfeasibleError
+from ..steiner.dst import greedy_incremental_dst
 from ..tveg.costsets import DiscreteCostSet
 from ..tveg.graph import TVEG
 
@@ -132,100 +138,218 @@ def node_components(tveg: TVEG, node: Node) -> NodeComponents:
     return comp
 
 
-class LazyAuxNodes(Sequence):
-    """The auxiliary node-id → tuple mapping, materialized on demand.
+def _cat(parts: List["np.ndarray"], dtype) -> "np.ndarray":
+    """``np.concatenate`` that also accepts an empty part list."""
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
 
-    The numpy build knows every transmission node as three flat arrays
-    ``(owner, point, level)``; creating millions of ``("tx", node, l, k)``
-    tuples eagerly would cost more than the rest of the build combined.
-    The Steiner solver only ever decodes the handful of ids that end up on
-    tree edges, so this sequence builds each tuple at access time instead.
-    State-node tuples (few) are materialized eagerly.
+
+def _state_id(state_base, dts, node: Node, l: int) -> Optional[int]:
+    """State id of ``(node, l)``, or None when there is no such state."""
+    base = state_base.get(node)
+    if base is None or not 0 <= l < len(dts.points(node)):
+        return None
+    return base + l
+
+
+class LazyAuxNodes(Sequence):
+    """The auxiliary node-id → tuple mapping, decoded on demand.
+
+    Creating millions of ``("tx", node, l, k)`` tuples eagerly would cost
+    more than the rest of the build combined, and the Steiner solver only
+    decodes the handful of ids that end up on tree edges.  Both node kinds
+    are recovered from the layout by binary search: a state id from the
+    per-label first state ids, a transmission id from the non-decreasing
+    per-state first transmission ids (its level is the state's first kept
+    level plus the offset into the state's id range).
     """
 
-    __slots__ = ("_state", "_labels", "_tx_owner", "_tx_l", "_tx_k")
+    __slots__ = ("_labels", "_node_base", "_st_first", "_st_k0", "_n")
 
-    def __init__(self, state_nodes, labels, tx_owner, tx_l, tx_k):
-        self._state = state_nodes
+    def __init__(self, labels, node_base, st_first, st_k0, n: int):
         self._labels = labels
-        self._tx_owner = tx_owner
-        self._tx_l = tx_l
-        self._tx_k = tx_k
+        self._node_base = node_base.tolist()  # one entry per label
+        self._st_first = st_first
+        self._st_k0 = st_k0
+        self._n = n
 
     def __len__(self) -> int:
-        return len(self._state) + len(self._tx_l)
+        return self._n
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
-        n = len(self)
         if i < 0:
-            i += n
-        if not 0 <= i < n:
+            i += self._n
+        if not 0 <= i < self._n:
             raise IndexError(i)
-        s = len(self._state)
-        if i < s:
-            return self._state[i]
-        j = i - s
+        if i < len(self._st_first):
+            return state_node(*self.state_of(i))
+        u = int(self._st_first.searchsorted(i, side="right")) - 1
+        node, l = self.state_of(u)
         return tx_node(
-            self._labels[self._tx_owner[j]],
-            int(self._tx_l[j]),
-            int(self._tx_k[j]),
+            node, l, int(self._st_k0[u]) + i - int(self._st_first[u])
         )
 
+    def state_of(self, u: int) -> Tuple[Node, int]:
+        """``(label, point index)`` of state id ``u``."""
+        ni = bisect_right(self._node_base, u) - 1
+        return self._labels[ni], u - self._node_base[ni]
 
-@dataclass
-class NumpyAuxGraph(CompactAuxGraph):
-    """A :class:`CompactAuxGraph` whose big sequences are numpy arrays.
 
-    Structurally identical to the stdlib-built graph; the only behavioral
-    addition is an arithmetic :meth:`index_of` — node ids are recovered
-    from ``state_base`` and the flat transmission arrays instead of a
-    materialized ``{tuple: id}`` dict, because hashing millions of lazy
-    tuples would cost more than the vectorized build saved.
+class LazyCostSets(Mapping):
+    """``(node, point) → DiscreteCostSet`` of every point that emitted a
+    transmission node, built (and memoized) on first access.
+
+    Schedule extraction and ``tree_cost`` read only the points on the
+    Steiner tree, so the builder keeps each node's component arrays and
+    their active point ranges ``[a, b)`` instead of one DCS object per
+    point.  The entries at point ``l`` are the components with
+    ``a <= l < b`` in canonical order — the same tuple the stdlib sweep
+    produces.
     """
 
-    #: per-graph-node slice bounds into the flat tx arrays (len = nodes+1)
-    tx_offsets: Optional["np.ndarray"] = field(default=None, repr=False)
-    _label_index: Optional[Dict[Node, int]] = field(default=None, repr=False)
-    #: total DCS levels, counted during the build (same sum the base-class
-    #: property would take over every cost set)
-    dcs_level_count: Optional[int] = field(default=None, repr=False)
+    def __init__(self, nodes: LazyAuxNodes, state_base, dts, st_cnt, spans):
+        self._nodes = nodes
+        self._state_base = state_base
+        self._dts = dts
+        self._st_cnt = st_cnt
+        #: label → ``(NodeComponents, a, b)``
+        self._spans = spans
+        self._memo: Dict[Tuple[Node, int], DiscreteCostSet] = {}
+
+    def __getitem__(self, key) -> DiscreteCostSet:
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
+        if not (isinstance(key, tuple) and len(key) == 2):
+            raise KeyError(key)
+        node, l = key
+        u = _state_id(self._state_base, self._dts, node, l)
+        if u is None or not self._st_cnt[u]:
+            raise KeyError(key)
+        comp, a, b = self._spans[node]
+        js = np.flatnonzero((a <= l) & (l < b)).tolist()
+        dcs = self._memo[key] = DiscreteCostSet(
+            node=node,
+            time=self._dts.points(node)[l],
+            entries=tuple((float(comp.costs[j]), comp.neighbors[j])
+                          for j in js),
+        )
+        return dcs
+
+    def __iter__(self):
+        for u in np.flatnonzero(self._st_cnt).tolist():
+            yield self._nodes.state_of(u)
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._st_cnt))
+
+
+class NumpyAuxGraph(CompactAuxGraph):
+    """The Section VI-A auxiliary graph in prefix-shared form.
+
+    Node ids, per-row edge order, and weights are exactly those of
+    :func:`~repro.auxgraph.compact.build_compact_aux_graph`, but no
+    per-edge array is stored.  Ids are state nodes ``0..S-1`` (label-major,
+    point-minor), then transmission nodes ``S..S+T-1`` (label-major,
+    point-major, level-minor), so the transmission nodes of one state are
+    one consecutive id range.  Rows are recovered from that:
+
+    * state ``u``: the waiting edge ``u → u+1`` (weight 0.0) when
+      ``st_wait[u]``, then ``st_first[u] .. st_first[u]+st_cnt[u]-1`` with
+      weights ``tx_w[id - S]``;
+    * transmission ``S + j``: ``recv[tx_off[j] : tx_off[j]+tx_cnt[j]]``,
+      all weight 0.0.  By Property 6.1 a level covers a prefix of the next
+      level's receivers, so every level of a point is a view into the
+      point's one receiver list in ``recv``.
+
+    ``indptr`` / ``targets`` / ``weights`` / ``times`` expand the eager CSR
+    on first access and cache it (shared with every :meth:`retarget`
+    copy); only oracles and tests read them.  Not a dataclass: its fields
+    are the layout arrays above, and the inherited CSR fields are lazy.
+    """
+
+    def __init__(self, *, recv, tx_off, tx_cnt, tx_w, st_first, st_cnt,
+                 st_k0, st_wait, node_base, labels, spans, num_edges,
+                 dcs_levels, dts, source, root, terminals, root_index,
+                 terminal_indices, state_base):
+        self.recv = recv            #: (R,) receiver state ids per point
+        self.tx_off = tx_off        #: (T,) row start in ``recv``
+        self.tx_cnt = tx_cnt        #: (T,) row length
+        self.tx_w = tx_w            #: (T,) weight of the edge into it
+        self.st_first = st_first    #: (S,) first transmission id
+        self.st_cnt = st_cnt        #: (S,) transmission node count
+        self.st_k0 = st_k0          #: (S,) DCS level of the first one
+        self.st_wait = st_wait      #: (S,) bool: has a waiting edge
+        self.node_base = node_base  #: (V,) first state id per label
+        self.labels = labels
+        self._num_edges = num_edges
+        self._dcs_levels = dcs_levels
+        self.dts = dts
+        self.source = source
+        self.root = root
+        self.terminals = terminals
+        self.root_index = root_index
+        self.terminal_indices = terminal_indices
+        self.state_base = state_base
+        self.aux_nodes = LazyAuxNodes(
+            labels, node_base, st_first, st_k0,
+            len(st_first) + len(tx_off),
+        )
+        self.cost_sets = LazyCostSets(
+            self.aux_nodes, state_base, dts, st_cnt, spans
+        )
+        #: the expanded CSR, filled on first legacy access
+        self._csr: Dict[str, "np.ndarray"] = {}
+
+    # -- sizes ---------------------------------------------------------
+    @property
+    def num_edges(self) -> int:
+        return self._num_edges
 
     @property
     def dcs_levels(self) -> int:
-        if self.dcs_level_count is not None:
-            return self.dcs_level_count
-        return CompactAuxGraph.dcs_levels.fget(self)
+        return self._dcs_levels
 
+    @property
+    def resident_bytes(self) -> int:
+        return sum(
+            a.nbytes for a in (
+                self.recv, self.tx_off, self.tx_cnt, self.tx_w,
+                self.st_first, self.st_cnt, self.st_k0, self.st_wait,
+                self.node_base,
+            )
+        )
+
+    # -- id arithmetic -------------------------------------------------
     def index_of(self, aux: AuxNode) -> int:
-        kind = aux[0] if isinstance(aux, tuple) and aux else None
-        if kind == "state" and len(aux) == 3:
-            base = self.state_base.get(aux[1])
-            if base is not None and 0 <= aux[2] < len(
-                self.dts.points(aux[1])
-            ):
-                return base + aux[2]
-        elif kind == "tx" and len(aux) == 4:
-            ni = self._label_index.get(aux[1])
-            if ni is not None:
-                nodes: LazyAuxNodes = self.aux_nodes
-                lo, hi = int(self.tx_offsets[ni]), int(self.tx_offsets[ni + 1])
-                tx_l, tx_k = nodes._tx_l, nodes._tx_k
-                # tx nodes are point-major, level-minor within each node
-                a = lo + int(np.searchsorted(tx_l[lo:hi], aux[2], "left"))
-                b = lo + int(np.searchsorted(tx_l[lo:hi], aux[2], "right"))
-                j = a + int(np.searchsorted(tx_k[a:b], aux[3], "left"))
-                if j < b and tx_k[j] == aux[3]:
-                    return len(nodes._state) + j
+        shape = (aux[0], len(aux)) if isinstance(aux, tuple) and aux else None
+        if shape in (("state", 3), ("tx", 4)):
+            u = _state_id(self.state_base, self.dts, aux[1], aux[2])
+            if u is not None:
+                if shape[0] == "state":
+                    return u
+                k = aux[3] - int(self.st_k0[u])
+                if 0 <= k < int(self.st_cnt[u]):
+                    return int(self.st_first[u]) + k
         raise KeyError(aux)
 
+    def out_edges(self, i: int) -> Tuple[Tuple[int, float], ...]:
+        S = len(self.st_first)
+        if i >= S:
+            lo = int(self.tx_off[i - S])
+            hi = lo + int(self.tx_cnt[i - S])
+            return tuple((v, 0.0) for v in self.recv[lo:hi].tolist())
+        row = [(i + 1, 0.0)] if self.st_wait[i] else []
+        f, c = int(self.st_first[i]), int(self.st_cnt[i])
+        row.extend(zip(range(f, f + c), self.tx_w[f - S:f - S + c].tolist()))
+        return tuple(row)
+
     def edge_weight(self, u: AuxNode, v: AuxNode) -> float:
-        ui, vi = self.index_of(u), self.index_of(v)
-        lo, hi = int(self.indptr[ui]), int(self.indptr[ui + 1])
-        hits = np.nonzero(self.targets[lo:hi] == vi)[0]
-        if len(hits):
-            return float(self.weights[lo + int(hits[0])])
+        vi = self.index_of(v)
+        for t, w in self.out_edges(self.index_of(u)):
+            if t == vi:
+                return w
         raise GraphModelError(f"no auxiliary edge {u!r} → {v!r}")
 
     def tree_cost(self, edges) -> float:
@@ -248,6 +372,50 @@ class NumpyAuxGraph(CompactAuxGraph):
         ]
         return float(math.fsum(weights))
 
+    # -- the eager CSR, for legacy readers -----------------------------
+    def _expanded(self, name: str) -> "np.ndarray":
+        csr = self._csr
+        if not csr:
+            S, T = len(self.st_first), len(self.tx_off)
+            wait = self.st_wait.astype(np.int64)
+            counts = np.concatenate([wait + self.st_cnt, self.tx_cnt])
+            indptr = np.zeros(S + T + 1, dtype=np.int64)
+            np.cumsum(counts, out=indptr[1:])
+            # State rows: the waiting edge, then the state's transmission
+            # ids — which, concatenated over states, are S..S+T-1.
+            targets = np.empty(int(indptr[-1]), dtype=np.int64)
+            weights = np.zeros(len(targets))
+            waiters = np.flatnonzero(self.st_wait)
+            targets[indptr[waiters]] = waiters + 1
+            parent = np.repeat(np.arange(S, dtype=np.int64), self.st_cnt)
+            slot = (indptr[parent] + wait[parent]
+                    + np.arange(T) + S - self.st_first[parent])
+            targets[slot] = S + np.arange(T, dtype=np.int64)
+            weights[slot] = self.tx_w
+            # Transmission rows: prefixes of the shared receiver lists.
+            excl = indptr[S:-1] - indptr[S]
+            pos = np.arange(len(targets) - indptr[S]) - np.repeat(
+                excl, self.tx_cnt
+            )
+            targets[indptr[S]:] = self.recv[
+                np.repeat(self.tx_off, self.tx_cnt) + pos
+            ]
+            state_times = _cat(
+                [np.asarray(self.dts.points(n), dtype=np.float64)
+                 for n in self.labels],
+                np.float64,
+            )
+            csr.update(
+                indptr=indptr, targets=targets, weights=weights,
+                times=np.concatenate([state_times, state_times[parent]]),
+            )
+        return csr[name]
+
+    indptr = property(lambda self: self._expanded("indptr"))
+    targets = property(lambda self: self._expanded("targets"))
+    weights = property(lambda self: self._expanded("weights"))
+    times = property(lambda self: self._expanded("times"))
+
 
 @obs.span("auxgraph.numpy_build")
 def build_numpy_aux_graph(
@@ -259,8 +427,8 @@ def build_numpy_aux_graph(
 ) -> CompactAuxGraph:
     """Build the Section VI-A auxiliary graph with batched array ops.
 
-    Produces a :class:`~repro.auxgraph.compact.CompactAuxGraph` whose node
-    numbering, CSR edge order, weights, and ``cost_sets`` are identical to
+    Produces a :class:`NumpyAuxGraph` whose node numbering, row edge
+    order, weights, and ``cost_sets`` are identical to
     :func:`~repro.auxgraph.compact.build_compact_aux_graph`'s — verified
     element-for-element by the compute-parity suite.  When the TVEG cannot
     certify per-contact-constant costs the stdlib builder is used instead
@@ -281,53 +449,35 @@ def build_numpy_aux_graph(
 
     labels = list(tveg.nodes)
     pts_of: Dict[Node, np.ndarray] = {}
-    raw_pts: Dict[Node, Tuple[float, ...]] = {}
     state_base: Dict[Node, int] = {}
-    state_nodes: List[AuxNode] = []
+    S = 0
     for node in labels:
-        pts = d.points(node)
-        raw_pts[node] = pts
-        pts_of[node] = np.asarray(pts, dtype=np.float64)
-        state_base[node] = len(state_nodes)
-        state_nodes.extend(state_node(node, l) for l in range(len(pts)))
-    S = len(state_nodes)
+        pts_of[node] = np.asarray(d.points(node), dtype=np.float64)
+        state_base[node] = S
+        S += len(pts_of[node])
 
-    state_cnt_parts: List[np.ndarray] = []
-    state_tgt_parts: List[np.ndarray] = []
-    state_w_parts: List[np.ndarray] = []
-    state_time_parts: List[np.ndarray] = []
+    st_cnt_parts: List[np.ndarray] = []
+    st_k0_parts: List[np.ndarray] = []
+    st_wait_parts: List[np.ndarray] = []
+    recv_parts: List[np.ndarray] = []
+    tx_off_parts: List[np.ndarray] = []
     tx_cnt_parts: List[np.ndarray] = []
-    tx_tgt_parts: List[np.ndarray] = []
-    tx_time_parts: List[np.ndarray] = []
-    tx_owner_parts: List[np.ndarray] = []
-    tx_l_parts: List[np.ndarray] = []
-    tx_k_parts: List[np.ndarray] = []
-    tx_w_by_state: Dict[int, np.ndarray] = {}
-    cost_sets: Dict[Tuple[Node, int], DiscreteCostSet] = {}
-    tx_total = 0
+    tx_w_parts: List[np.ndarray] = []
+    spans: Dict[Node, Tuple[NodeComponents, np.ndarray, np.ndarray]] = {}
+    recv_total = 0
+    num_edges = 0
     dcs_level_total = 0
 
-    for node_idx, node in enumerate(labels):
+    for node in labels:
         pts = pts_of[node]
         P = len(pts)
-        base = state_base[node]
-        state_time_parts.append(pts)
         comp = node_components(tveg, node)
         C = len(comp)
+        st_wait_parts.append(np.arange(P) < P - 1)
+        num_edges += max(P - 1, 0)  # waiting edges
 
-        wait_rows = np.arange(max(P - 1, 0), dtype=np.int64)
-        wait_tgts = base + wait_rows + 1
-
-        a = (
-            np.searchsorted(pts, comp.starts, side="left")
-            if C
-            else np.zeros(0, dtype=np.int64)
-        )
-        b = (
-            np.searchsorted(pts, comp.ends, side="left")
-            if C
-            else np.zeros(0, dtype=np.int64)
-        )
+        a = np.searchsorted(pts, comp.starts, side="left")
+        b = np.searchsorted(pts, comp.ends, side="left")
         # Active cells of this node, sparsely: component j is adjacent at
         # point l  ⇔  a[j] <= l < b[j], so each component contributes one
         # contiguous run of points.  Everything below works on the ~8 % of
@@ -337,11 +487,10 @@ def build_numpy_aux_graph(
         tot = int(lens.sum())
 
         if tot == 0 or P == 0:
-            state_cnt_parts.append(np.bincount(wait_rows, minlength=P)
-                                   .astype(np.int64))
-            state_tgt_parts.append(wait_tgts)
-            state_w_parts.append(np.zeros(len(wait_rows)))
+            st_cnt_parts.append(np.zeros(P, dtype=np.int64))
+            st_k0_parts.append(np.zeros(P, dtype=np.int64))
             continue
+        spans[node] = (comp, a, b)
 
         # Cells in component-major order: j_rep[i], l_rep[i] enumerate
         # each component's run of active points.
@@ -400,162 +549,68 @@ def build_numpy_aux_graph(
         can_tx = (pts + tau) <= end
         keep = cnt_s > 0 if can_tx.all() else (cnt_s > 0) & can_tx[l_s]
 
-        # Transmission nodes in creation order: point-major, level-minor.
-        l_arr = l_s[keep]
-        j_arr = j_s[keep]
-        E = len(l_arr)
-        # k = rank of the cell among its point's active cells (exclusive
-        # count of active components with smaller canonical index).
-        # ``l_s`` is sorted, so each point's run start is read off the
-        # run boundaries instead of a per-cell binary search.
-        cell_pos = np.arange(tot, dtype=np.int64)
-        run_change = np.flatnonzero(l_s[1:] != l_s[:-1]) + 1
-        starts = np.concatenate([np.zeros(1, dtype=np.int64), run_change])
-        run_counts = np.diff(np.concatenate([starts, [tot]]))
-        row_start = np.repeat(starts, run_counts)
-        k_arr = (cell_pos - row_start)[keep]
-        w_arr = comp.costs[j_arr]
-        cnt_arr = cnt_s[keep]
-        ids = S + tx_total + np.arange(E, dtype=np.int64)
-        tx_total += E
+        # Transmission nodes, point-major and level-minor.  ``cnt`` never
+        # decreases along a point's cells (``hi`` grows with the canonical
+        # index), so a point's kept levels are a suffix of its DCS: the
+        # first kept level is the active count minus the kept count.
+        tx_cnt = cnt_s[keep]
+        active = np.bincount(l_s, minlength=P)
+        st_cnt = np.bincount(l_s[keep], minlength=P)
+        st_cnt_parts.append(st_cnt)
+        st_k0_parts.append(active - st_cnt)
+        dcs_level_total += int(active[st_cnt > 0].sum())
 
-        # State rows: the waiting edge first, then this row's transmission
-        # edges in creation order — the stdlib insertion order.
-        rows = np.concatenate([wait_rows, l_arr])
-        keys = np.concatenate(
-            [np.full(len(wait_rows), -1, dtype=np.int64),
-             np.arange(E, dtype=np.int64)]
-        )
-        tgts = np.concatenate([wait_tgts, ids])
-        wgts = np.concatenate([np.zeros(len(wait_rows)), w_arr])
-        order = np.lexsort((keys, rows))
-        state_cnt_parts.append(np.bincount(rows, minlength=P)
-                               .astype(np.int64))
-        state_tgt_parts.append(tgts[order])
-        state_w_parts.append(wgts[order])
+        # Each point's valid receivers, stored once in canonical (DCS
+        # entry) order: ``vlo`` marks the point's start in the valid
+        # subsequence, and a level's coverage is its first ``cnt``.
+        recv_parts.append(rs_s[ok_s])
+        tx_off_parts.append(recv_total + vlo[keep])
+        tx_cnt_parts.append(tx_cnt)
+        tx_w_parts.append(comp.costs[j_s[keep]])
+        recv_total += int(ok_s.sum())
+        num_edges += len(tx_cnt) + int(tx_cnt.sum())
 
-        # Transmission rows: each level's coverage is the first
-        # ``cnt`` valid receivers of its point, in canonical (DCS entry)
-        # order — the valid subsequence is already point-major/canonical-
-        # minor, and ``vlo`` marks each point's start in it, so one flat
-        # indexing expression gathers every coverage list.
-        vs = rs_s[ok_s]
-        row_voff = vlo[keep]
-        total_recv = int(cnt_arr.sum())
-        excl = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(cnt_arr)]
-        )[:-1]
-        pos = np.arange(total_recv, dtype=np.int64) - np.repeat(excl, cnt_arr)
-        tx_tgt_parts.append(vs[np.repeat(row_voff, cnt_arr) + pos])
-        tx_cnt_parts.append(cnt_arr)
-        tx_time_parts.append(pts[l_arr])
-        tx_owner_parts.append(np.full(E, node_idx, dtype=np.int64))
-        tx_l_parts.append(l_arr)
-        tx_k_parts.append(k_arr)
-
-        # Cost sets for the points that emitted a transmission node.  The
-        # entries tuple only changes at component boundaries, so one tuple
-        # is built per constant-active segment and shared (exactly the
-        # sweep's event-free-gap reuse).
-        # ``l_arr`` is sorted (point-major creation order), so dedup is a
-        # neighbor comparison rather than a hash/sort pass.
-        kept_cols = (
-            l_arr[np.concatenate([[True], l_arr[1:] != l_arr[:-1]])]
-            if E
-            else l_arr
-        )
-        if len(kept_cols):
-            boundaries = np.unique(np.concatenate(
-                [np.clip(a, 0, P), np.clip(b, 0, P), [0, P]]
-            ))
-            seg = np.searchsorted(boundaries, kept_cols, side="right") - 1
-            ent_cache: Dict[int, Tuple] = {}
-            for l, s in zip(kept_cols.tolist(), seg.tolist()):
-                ent = ent_cache.get(s)
-                if ent is None:
-                    js = np.flatnonzero((a <= l) & (l < b))
-                    ent = tuple(
-                        (float(comp.costs[j]), comp.neighbors[j])
-                        for j in js.tolist()
-                    )
-                    ent_cache[s] = ent
-                cost_sets[(node, l)] = DiscreteCostSet(
-                    node=node, time=float(pts[l]), entries=ent
-                )
-                dcs_level_total += len(ent)
-
-    counts = np.concatenate(
-        state_cnt_parts + tx_cnt_parts
-        if (state_cnt_parts or tx_cnt_parts)
-        else [np.zeros(0, dtype=np.int64)]
-    )
-    indptr = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(counts)])
-    targets_arr = (
-        np.concatenate(state_tgt_parts + tx_tgt_parts)
-        if (state_tgt_parts or tx_tgt_parts)
-        else np.zeros(0, dtype=np.int64)
-    )
-    weights_arr = (
-        np.concatenate(
-            state_w_parts + [np.zeros(int(c.sum())) for c in tx_cnt_parts]
-        )
-        if (state_w_parts or tx_cnt_parts)
-        else np.zeros(0)
-    )
-    times = (
-        np.concatenate(state_time_parts + tx_time_parts)
-        if (state_time_parts or tx_time_parts)
-        else np.zeros(0)
-    )
-    aux_nodes = LazyAuxNodes(
-        state_nodes,
-        labels,
-        np.concatenate(tx_owner_parts) if tx_owner_parts
-        else np.zeros(0, dtype=np.int64),
-        np.concatenate(tx_l_parts) if tx_l_parts
-        else np.zeros(0, dtype=np.int64),
-        np.concatenate(tx_k_parts) if tx_k_parts
-        else np.zeros(0, dtype=np.int64),
-    )
-    tx_counts = np.zeros(len(labels), dtype=np.int64)
-    for part in tx_owner_parts:
-        if len(part):
-            tx_counts[int(part[0])] = len(part)
-    tx_offsets = np.concatenate(
-        [np.zeros(1, dtype=np.int64), np.cumsum(tx_counts)]
-    )
+    st_cnt = _cat(st_cnt_parts, np.int64)
+    st_first = np.zeros(len(st_cnt), dtype=np.int64)
+    np.cumsum(st_cnt[:-1], out=st_first[1:])
+    st_first += S
 
     wanted = (
         tuple(n for n in labels if n != source)
         if targets is None
         else tuple(n for n in targets if n != source)
     )
-    obs.gauge("auxgraph.nodes", len(aux_nodes))
-    obs.gauge("auxgraph.edges", len(targets_arr))
-    obs.gauge("auxgraph.dcs_levels", dcs_level_total)
-    obs.counter("auxgraph.numpy_builds")
-    return NumpyAuxGraph(
-        indptr=indptr,
-        targets=targets_arr,
-        weights=weights_arr,
-        aux_nodes=aux_nodes,
-        times=times,
+    last = {n: state_base[n] + len(pts_of[n]) - 1 for n in labels}
+    graph = NumpyAuxGraph(
+        recv=_cat(recv_parts, np.int64),
+        tx_off=_cat(tx_off_parts, np.int64),
+        tx_cnt=_cat(tx_cnt_parts, np.int64),
+        tx_w=_cat(tx_w_parts, np.float64),
+        st_first=st_first,
+        st_cnt=st_cnt,
+        st_k0=_cat(st_k0_parts, np.int64),
+        st_wait=_cat(st_wait_parts, np.bool_),
+        node_base=np.array([state_base[n] for n in labels], dtype=np.int64),
+        labels=labels,
+        spans=spans,
+        num_edges=num_edges,
+        dcs_levels=dcs_level_total,
         dts=d,
         source=source,
         root=state_node(source, 0),
         terminals=tuple(
-            state_node(n, len(raw_pts[n]) - 1) for n in wanted
+            state_node(n, last[n] - state_base[n]) for n in wanted
         ),
         root_index=state_base[source],
-        terminal_indices=tuple(
-            state_base[n] + len(raw_pts[n]) - 1 for n in wanted
-        ),
-        cost_sets=cost_sets,
+        terminal_indices=tuple(last[n] for n in wanted),
         state_base=state_base,
-        tx_offsets=tx_offsets,
-        _label_index={n: i for i, n in enumerate(labels)},
-        dcs_level_count=dcs_level_total,
     )
+    obs.gauge("auxgraph.nodes", graph.num_nodes)
+    obs.gauge("auxgraph.edges", graph.num_edges)
+    obs.gauge("auxgraph.dcs_levels", dcs_level_total)
+    obs.gauge("auxgraph.resident_bytes", graph.resident_bytes)
+    obs.counter("auxgraph.numpy_builds")
+    return graph
 
 
 def greedy_incremental_dst_numpy(
@@ -564,32 +619,29 @@ def greedy_incremental_dst_numpy(
     terminals: Sequence[AuxNode],
     stats: Optional[Dict[str, int]] = None,
 ) -> Set[Edge]:
-    """The incremental multi-source Dijkstra with batched row decoding.
+    """The incremental multi-source Dijkstra over the prefix-shared layout.
 
     Identical search to :func:`~repro.steiner.dst.greedy_incremental_dst`
-    on a :class:`~repro.auxgraph.compact.CompactAuxGraph` — same pop
-    sequence, same ``expansions`` / ``grafts`` counters, same tree.  The
-    auxiliary graph's rows are short (a state node links its waiting edge
-    plus the point's transmission levels; a transmission node its covered
-    receivers), so the win over the stdlib loop is not per-row
-    vectorization — whose call overhead would dominate rows this size —
-    but decoding each settled row from the CSR arrays in two bulk
-    ``tolist`` calls and relaxing over native ints and floats, instead of
-    per-element ``array`` indexing.  Float arithmetic, improvement
-    checks, and heap pushes are element-for-element those of the stdlib
-    solver, so the heap multiset — hence the pop order — matches bit for
-    bit.
+    on the equivalent :class:`~repro.auxgraph.compact.CompactAuxGraph` —
+    same pop sequence, same ``expansions`` / ``grafts`` counters, same
+    tree.  Each settled row is decoded straight from the
+    :class:`NumpyAuxGraph` layout (a state's waiting edge and transmission
+    id range; a transmission node's slice of the shared receiver list)
+    with one bulk ``tolist`` call, and relaxed over native ints and
+    floats.  Row order, float arithmetic, improvement checks, and heap
+    pushes are element-for-element those of the stdlib solver — a 0.0
+    edge weight adds exactly nothing, so ``d + 0.0`` is written ``d`` —
+    hence the heap multiset, and with it the pop order, matches bit for
+    bit.  Any other graph form runs the stdlib solver.
 
     The tree edges are decoded to tuple form at insertion, in graft order —
     downstream set-iteration order is part of the parity contract, so the
     result set must be built exactly the way the stdlib solver builds its
     own (same elements *and* same insertion history).
     """
+    if not isinstance(graph, NumpyAuxGraph):
+        return greedy_incremental_dst(graph, root, terminals, stats=stats)
     nodes = graph.aux_nodes
-    indptr = np.asarray(graph.indptr, dtype=np.int64)
-    tgt = np.asarray(graph.targets, dtype=np.int64)
-    wts = np.asarray(graph.weights, dtype=np.float64)
-    iptr = indptr.tolist()
     root_i = (
         graph.root_index if root == graph.root else graph.index_of(root)
     )
@@ -598,6 +650,14 @@ def greedy_incremental_dst_numpy(
     else:
         uncovered = {graph.index_of(t) for t in terminals if t != root}
     uncovered.discard(root_i)
+
+    S = len(graph.st_first)
+    st_wait = graph.st_wait.tolist()
+    st_first = graph.st_first.tolist()
+    st_cnt = graph.st_cnt.tolist()
+    tx_w, tx_off, tx_cnt, recv = (
+        graph.tx_w, graph.tx_off, graph.tx_cnt, graph.recv
+    )
 
     n = len(nodes)
     INF = float("inf")
@@ -634,8 +694,22 @@ def greedy_incremental_dst_numpy(
             if u in uncovered:
                 target = u
                 break
-            lo, hi = iptr[u], iptr[u + 1]
-            for v, w in zip(tgt[lo:hi].tolist(), wts[lo:hi].tolist()):
+            if u >= S:  # transmission node: 0-weight coverage edges
+                lo = int(tx_off[u - S])
+                for v in recv[lo:lo + int(tx_cnt[u - S])].tolist():
+                    if dd < dist[v]:
+                        dist[v] = dd
+                        pred[v] = u
+                        heappush(heap, (dd, v))
+                continue
+            if st_wait[u] and dd < dist[u + 1]:
+                dist[u + 1] = dd
+                pred[u + 1] = u
+                heappush(heap, (dd, u + 1))
+            f = st_first[u]
+            j = f - S
+            for v, w in zip(range(f, f + st_cnt[u]),
+                            tx_w[j:j + st_cnt[u]].tolist()):
                 nd = dd + w
                 if nd < dist[v]:
                     dist[v] = nd

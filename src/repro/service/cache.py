@@ -23,7 +23,9 @@ Two tiers:
   ``<dir>/<config_hash>.json``.  A memory miss falls through to disk, the
   document is replayed into a fresh ``BroadcastPlan``
   (:func:`repro.schedule.io.doc_to_plan`) against a TVEG the caller
-  supplies lazily, and the entry is promoted back into memory.  The disk
+  supplies lazily, and the entry is promoted back into memory.  A
+  document whose ``manifest.config_hash`` is not the key it is filed under
+  is counted as a ``disk_error`` and never served.  The disk
   tier survives process restarts, so a restarted ``repro serve`` warms up
   from its predecessor's work.
 
@@ -303,6 +305,13 @@ class PlanCache:
         try:
             doc = read_plan_json(path)
         except (OSError, TraceFormatError):
+            with self._lock:
+                self._stats.disk_errors += 1
+            return None
+        manifest = doc.get("manifest")
+        if not isinstance(manifest, dict) or manifest.get("config_hash") != key:
+            # A renamed, swapped or edited file: serving it would answer
+            # this problem with some other problem's plan.
             with self._lock:
                 self._stats.disk_errors += 1
             return None

@@ -27,7 +27,11 @@ from repro.compute import (
     canonical_compute_name,
     resolve_compute,
 )
-from repro.compute.numpy_backend import build_numpy_aux_graph
+from repro.compute.numpy_backend import (
+    NumpyAuxGraph,
+    build_numpy_aux_graph,
+    greedy_incremental_dst_numpy,
+)
 from repro.errors import GraphModelError, InfeasibleError, SolverError
 from repro.schedule import (
     doc_to_planset,
@@ -36,6 +40,7 @@ from repro.schedule import (
     write_planset_json,
 )
 from repro.steiner import solve_memt
+from repro.steiner.dst import greedy_incremental_dst
 from repro.traces import Contact, ContactTrace
 from repro.tveg import tveg_from_trace
 
@@ -147,6 +152,126 @@ def test_numpy_builder_matches_compact_builder(trace, seed):
                 solve_memt(na, na.root, na.terminals, method=method)
             continue
         assert solve_memt(na, na.root, na.terminals, method=method) == e_c
+
+
+# ----------------------------------------------------------------------
+# the prefix-shared layout ≡ the eager CSR
+# ----------------------------------------------------------------------
+
+
+@given(contact_traces(), st.integers(0, 2**16))
+@slow
+def test_shared_layout_expands_to_compact_graph(trace, seed):
+    tveg = tveg_from_trace(trace, "static", seed=seed)
+    ca = build_compact_aux_graph(tveg, 0, HORIZON)
+    na = build_numpy_aux_graph(tveg, 0, HORIZON)
+    assert isinstance(na, NumpyAuxGraph)
+    # sizes are counted during the build, before any expansion
+    assert (na.num_nodes, na.num_edges, na.dcs_levels) == (
+        ca.num_nodes, ca.num_edges, ca.dcs_levels
+    )
+    assert not na._csr
+    assert list(na.cost_sets) == list(ca.cost_sets)
+    for key, dcs in ca.cost_sets.items():
+        assert na.cost_sets[key] == dcs
+    assert len(na.cost_sets) == len(ca.cost_sets)
+    assert list(na.aux_nodes) == list(ca.aux_nodes)
+    assert list(na.times) == list(ca.times)
+    assert list(na.indptr) == list(ca.indptr)
+    assert list(na.targets) == list(ca.targets)
+    assert list(na.weights) == list(ca.weights)
+    for i in range(ca.num_nodes):
+        assert na.out_edges(i) == ca.out_edges(i)
+
+
+def _solve_both(ca, na, root, terminals):
+    sc, sn = {}, {}
+    try:
+        e_c = greedy_incremental_dst(ca, root, terminals, stats=sc)
+    except InfeasibleError:
+        with pytest.raises(InfeasibleError):
+            greedy_incremental_dst_numpy(na, root, terminals, stats=sn)
+        return
+    e_n = greedy_incremental_dst_numpy(na, root, terminals, stats=sn)
+    assert e_n == e_c
+    assert list(e_n) == list(e_c)  # same insertion history
+    assert sn == sc  # expansions and grafts
+
+
+@given(contact_traces(), st.integers(0, 2**16), st.integers(1, NODES - 1))
+@slow
+def test_shared_layout_solver_matches_stdlib_solver(trace, seed, other):
+    tveg = tveg_from_trace(trace, "static", seed=seed)
+    ca = build_compact_aux_graph(tveg, 0, HORIZON)
+    na = build_numpy_aux_graph(tveg, 0, HORIZON)
+    _solve_both(ca, na, ca.root, ca.terminals)
+    # re-rooted copies share the layout and still search identically
+    cm, nm = ca.retarget(other), na.retarget(other)
+    assert nm.recv is na.recv and nm.st_first is na.st_first
+    assert (nm.root, nm.root_index, nm.terminals, nm.terminal_indices) == (
+        cm.root, cm.root_index, cm.terminals, cm.terminal_indices
+    )
+    _solve_both(cm, nm, cm.root, cm.terminals)
+    # a terminal subset takes the index_of path
+    _solve_both(cm, nm, cm.root, cm.terminals[::2])
+    assert not na._csr
+
+
+@given(contact_traces(), st.integers(0, 2**16))
+@slow
+def test_shared_layout_index_and_edge_weight_round_trip(trace, seed):
+    tveg = tveg_from_trace(trace, "static", seed=seed)
+    ca = build_compact_aux_graph(tveg, 0, HORIZON)
+    na = build_numpy_aux_graph(tveg, 0, HORIZON)
+    for i, aux in enumerate(ca.aux_nodes):
+        assert na.aux_nodes[i] == aux
+        assert na.index_of(aux) == i
+        for j, w in ca.out_edges(i):
+            assert na.edge_weight(aux, ca.aux_nodes[j]) == w
+    assert na.aux_nodes[-1] == ca.aux_nodes[-1]
+    for bad in (("state", 0, 10**6), ("tx", 0, 0, 10**6), ("tx", "x", 0, 0),
+                ("state", 0), (), 7):
+        with pytest.raises(KeyError):
+            na.index_of(bad)
+    with pytest.raises(IndexError):
+        na.aux_nodes[na.num_nodes]
+    with pytest.raises(GraphModelError):
+        na.edge_weight(na.root, na.root)
+    assert ("nope", 0) not in na.cost_sets
+    assert not na._csr
+
+
+def test_production_plan_never_expands_the_csr():
+    _, tveg = make_random_instance(seed=5)
+    obs.enable()
+    try:
+        r = make_scheduler("eedcb", compute="numpy").run(tveg, 0, 300.0)
+        gauges = obs.snapshot().gauges
+    finally:
+        obs.disable()
+    (aux,) = tveg.aux_cache().values()
+    assert isinstance(aux, NumpyAuxGraph) and not aux._csr
+    assert r.info["aux_edges"] == aux.num_edges
+    assert gauges["auxgraph.resident_bytes"] == aux.resident_bytes
+    eager = build_compact_aux_graph(tveg, 0, 300.0)
+    assert aux.resident_bytes < eager.resident_bytes
+
+
+def test_resident_bytes_gauge_reported_below_eager_layout():
+    from repro.obs.bench import _build_instance
+
+    tveg, _fading, source, _trace = _build_instance(12, 2000.0, 1)
+    obs.enable()
+    try:
+        shared = build_numpy_aux_graph(tveg, source, 2000.0)
+        shared_gauge = obs.snapshot().gauges["auxgraph.resident_bytes"]
+        eager = build_compact_aux_graph(tveg, source, 2000.0)
+        eager_gauge = obs.snapshot().gauges["auxgraph.resident_bytes"]
+    finally:
+        obs.disable()
+    assert shared_gauge == shared.resident_bytes > 0
+    assert eager_gauge == eager.resident_bytes
+    assert shared_gauge < eager_gauge
 
 
 # ----------------------------------------------------------------------

@@ -141,6 +141,39 @@ class TestPlanCache:
         assert fresh.lookup(key, lambda: tveg) is None
         assert fresh.stats()["disk_errors"] == 1
 
+    def test_swapped_disk_entries_are_misses(self, tveg, tmp_path):
+        cache = PlanCache(disk_dir=tmp_path)
+        a = make_plan(tveg, cache, deadline=300.0).manifest["config_hash"]
+        b = make_plan(tveg, cache, deadline=280.0).manifest["config_hash"]
+        pa, pb = tmp_path / f"{a}.json", tmp_path / f"{b}.json"
+        da, db = pa.read_bytes(), pb.read_bytes()
+        pa.write_bytes(db)
+        pb.write_bytes(da)
+        fresh = PlanCache(disk_dir=tmp_path)
+        assert fresh.lookup(a, lambda: tveg) is None
+        assert fresh.lookup(b, lambda: tveg) is None
+        s = fresh.stats()
+        assert s["disk_errors"] == 2 and s["disk_hits"] == 0
+        assert s["misses"] == 2
+
+    def test_tampered_disk_entry_is_a_miss(self, tveg, tmp_path):
+        cache = PlanCache(disk_dir=tmp_path)
+        key = make_plan(tveg, cache).manifest["config_hash"]
+        path = tmp_path / f"{key}.json"
+        doc = json.loads(path.read_text())
+        doc["manifest"]["config_hash"] = "0" * len(key)
+        path.write_text(json.dumps(doc))
+        fresh = PlanCache(disk_dir=tmp_path)
+        assert fresh.lookup(key, lambda: tveg) is None
+        del doc["manifest"]
+        path.write_text(json.dumps(doc))
+        assert fresh.lookup(key, lambda: tveg) is None
+        assert fresh.stats()["disk_errors"] == 2
+        # the genuine document is still served
+        cache.put(key, make_plan(tveg))
+        assert PlanCache(disk_dir=tmp_path).lookup(key, lambda: tveg) \
+            is not None
+
     def test_clear(self, tveg, tmp_path):
         cache = PlanCache(disk_dir=tmp_path)
         make_plan(tveg, cache)

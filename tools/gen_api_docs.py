@@ -99,11 +99,12 @@ plan set as a `repro.planset/1` document.
 pure-python kernels are the parity oracle, and an optional numpy layer
 accelerates the three hot stages (per-node timeline sweeps +
 contact-cost evaluation batched into contact-component arrays, DCS
-level lookups via `searchsorted`, and greedy Steiner expansion over
-batch-decoded CSR rows) while reproducing the python path **byte for
-byte** — same node ids, edge order, floats, heap pops, and expansion
-counters (`tests/test_compute_parity.py` enforces this
-property-based).
+level lookups via `searchsorted`, an auxiliary graph stored in a
+prefix-shared layout with no per-edge array, and greedy Steiner
+expansion over rows decoded from that layout) while reproducing the
+python path **byte for byte** — same node ids, edge order, floats, heap
+pops, and expansion counters (`tests/test_compute_parity.py` enforces
+this property-based).
 
 Resolution order for `compute="auto"` (the default): the
 `REPRO_COMPUTE` environment variable, then numpy-if-importable, else
