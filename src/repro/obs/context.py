@@ -1,10 +1,10 @@
 """Request-scoped trace context: request ids and shard identity.
 
-A request entering the planning service — through the asyncio front-end,
-the legacy threading server, or an embedded :class:`~repro.service.server.
-PlanningService` call — is stamped with a **request id**: 16 hex chars,
-minted at the edge (or accepted from an ``X-Request-Id`` header so an
-upstream proxy's id survives).  The id travels *with the work*, not with
+A request entering the planning service — through the asyncio front-end
+or an embedded :class:`~repro.service.server.PlanningService` call — is
+stamped with a **request id**: 16 hex chars, minted at the edge (or
+accepted from an ``X-Request-Id`` header so an upstream proxy's id
+survives).  The id travels *with the work*, not with
 the thread: across the batcher's flush pool, across the shard pipe into a
 worker process, and into every ledger event and log record emitted while
 serving it — so one grep over a ledger reconstructs a request's full

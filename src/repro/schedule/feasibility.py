@@ -148,7 +148,6 @@ def check_feasibility(
     start_time: float = 0.0,
     targets: Optional[Tuple[Node, ...]] = None,
     record: Optional[str] = None,
-    compute: Optional[str] = None,
 ) -> FeasibilityReport:
     """Evaluate conditions (i)–(iv) for ``schedule`` on ``tveg``.
 
@@ -165,10 +164,8 @@ def check_feasibility(
     ``feasibility.checks`` / ``feasibility.failed`` counters are bumped
     either way.
 
-    ``compute`` is accepted for call compatibility with the other pipeline
-    stages and does not change anything: there is one replay kernel, the
-    stdlib loop (schedules here have tens of rows, too few for array ops
-    to pay for their call overhead).
+    There is one replay kernel, the stdlib loop: schedules here have tens
+    of rows, too few for array ops to pay for their call overhead.
     """
     e = tveg.params.epsilon if eps is None else eps
     tau = tveg.tau

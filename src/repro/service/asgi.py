@@ -1,14 +1,34 @@
-"""Asyncio HTTP front-end: thousands of connections, one event loop.
+"""The HTTP front-end: thousands of connections, one event loop.
 
-The original ``ThreadingHTTPServer`` front-end spends a thread per
-connection and — worse — writes headers and body as separate TCP
-segments, which on loopback interacts with Nagle + delayed ACKs into
-tens of milliseconds of stall per request.  This front-end is a
-single-threaded ``asyncio`` server that:
+This is the only module in the package that speaks HTTP: request
+framing, routing to a backend, and the mapping of outcomes to status
+codes all happen here, whichever backend serves the plan.  JSON in,
+JSON out, five endpoints:
 
-* parses HTTP/1.1 with keep-alive and answers with **one** ``write()``
-  of a fully assembled response buffer, with ``TCP_NODELAY`` set — the
-  transport never waits for an ACK that isn't coming;
+========================  ====================================================
+``POST /plan``            plan one broadcast; body mirrors
+                          :meth:`PlanningService.plan`'s keywords
+``POST /plan_many``       plan a batch of broadcasts over one instance via
+                          :func:`repro.plan_broadcast_many`; body mirrors
+                          :meth:`PlanningService.plan_many`'s keywords
+``GET /healthz``          liveness + queue depth
+``GET /metrics``          cache, batcher, request counters, and latency
+                          histograms — JSON by default, Prometheus text
+                          via ``Accept: text/plain``
+``GET /cache/stats``      the plan cache's counters alone
+========================  ====================================================
+
+It is a single-threaded ``asyncio`` server that:
+
+* parses HTTP/1.1 with keep-alive and pipelining and answers with
+  **one** ``write()`` of a fully assembled response buffer, with
+  ``TCP_NODELAY`` set — headers and body never go out as separate
+  segments that Nagle + delayed ACKs would stall on loopback;
+* frames strictly by ``Content-Length``: a value that is not all
+  digits, conflicting values, a ``Transfer-Encoding``, a malformed
+  request line, or an oversized head or body is answered with 400 /
+  501 / 431 / 413 and the connection is closed, so the bytes of one
+  request can never be read as the start of another;
 * accepts as many concurrent connections as the OS will hand it — a
   connection costs a coroutine, not a thread;
 * forwards planning work to a **backend** — :class:`LocalBackend`
@@ -25,8 +45,10 @@ single-threaded ``asyncio`` server that:
   (``cached`` is honestly ``true``: the plan *was* served from cache).
 
 Graceful drain: :meth:`AsyncPlanningServer.drain` stops accepting,
-waits for in-flight requests, then drains the backend (shards flush
-their stats and exit).  The CLI wires SIGTERM/SIGINT to it.
+closes keep-alive connections idle between requests, lets in-flight
+requests finish (their responses say ``Connection: close``), then drains
+the backend (shards flush their stats and exit).  The CLI wires
+SIGTERM/SIGINT to it.
 """
 
 from __future__ import annotations
@@ -41,7 +63,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
 from .. import obs
-from ..errors import ServiceOverloaded
+from ..errors import ReproError, ServiceOverloaded
 from ..obs.histogram import MetricsRegistry
 from ..obs.promtext import (
     PROMETHEUS_CONTENT_TYPE,
@@ -63,7 +85,8 @@ _REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found", 405: "Method Not "
     "Allowed", 408: "Request Timeout", 413: "Payload Too Large",
     422: "Unprocessable Entity", 429: "Too Many Requests",
-    500: "Internal Server Error", 503: "Service Unavailable",
+    431: "Request Header Fields Too Large", 500: "Internal Server Error",
+    501: "Not Implemented", 503: "Service Unavailable",
     504: "Gateway Timeout",
 }
 
@@ -71,6 +94,14 @@ _REASONS = {
 _MAX_HEAD = 64 * 1024
 #: request body size bound — a plan request is a small JSON object
 _MAX_BODY = 8 * 1024 * 1024
+
+
+class _BadFraming(Exception):
+    """A request whose bytes cannot be delimited: answer, then close."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 class LocalBackend:
@@ -265,6 +296,10 @@ class AsyncPlanningServer:
         self._logger = logger
         self._server: Optional[asyncio.AbstractServer] = None
         self._active_requests = 0
+        # writers of open connections, and the subset waiting for the
+        # first byte of their next request (what drain may close at once)
+        self._connections: set = set()
+        self._idle: set = set()
         self._served = 0
         self._errors = 0
         self._draining = False
@@ -308,15 +343,25 @@ class AsyncPlanningServer:
             await self.drain()
 
     async def drain(self, timeout: float = 30.0) -> Any:
-        """Stop accepting, finish in-flight requests, drain the backend."""
+        """Stop accepting, finish in-flight requests, drain the backend.
+
+        Connections idle between requests close at once; a connection
+        mid-request closes after its response; whatever is still open
+        after ``timeout`` seconds is aborted.
+        """
         self._draining = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
+        for writer in list(self._idle):
+            writer.close()
         loop = asyncio.get_running_loop()
         deadline = loop.time() + timeout
-        while self._active_requests and loop.time() < deadline:
+        while self._connections and loop.time() < deadline:
             await asyncio.sleep(0.01)
+        for writer in list(self._connections):
+            writer.transport.abort()
+        if self._server is not None:
+            await self._server.wait_closed()
         finals = await loop.run_in_executor(
             None, lambda: self.backend.drain(timeout)
         )
@@ -337,6 +382,7 @@ class AsyncPlanningServer:
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             except OSError:
                 pass
+        self._connections.add(writer)
         try:
             # leftover carries bytes read past the end of one request —
             # the start of the next when a client pipelines — so
@@ -344,7 +390,28 @@ class AsyncPlanningServer:
             # framed exactly and answered in order
             leftover = b""
             while True:
-                request, leftover = await self._read_request(reader, leftover)
+                if not leftover:
+                    if self._draining:
+                        break
+                    self._idle.add(writer)
+                    try:
+                        leftover = await reader.read(4096)
+                    finally:
+                        self._idle.discard(writer)
+                    if not leftover:
+                        break
+                try:
+                    request, leftover = await self._read_request(
+                        reader, leftover
+                    )
+                except _BadFraming as exc:
+                    payload, _ = self._error_doc(str(exc))
+                    self._count(exc.status)
+                    writer.write(self._response_bytes(
+                        exc.status, payload, keep_alive=False
+                    ))
+                    await writer.drain()
+                    break
                 if request is None:
                     break
                 keep_alive = await self._respond(request, writer)
@@ -358,6 +425,8 @@ class AsyncPlanningServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
+            finally:
+                self._connections.discard(writer)
 
     async def _read_request(
         self, reader: asyncio.StreamReader, leftover: bytes = b""
@@ -366,35 +435,48 @@ class AsyncPlanningServer:
 
         Returns ``((verb, path, headers, body), leftover)`` — ``leftover``
         is the prefix of the *next* pipelined request when the client
-        wrote several back-to-back — or ``(None, b"")`` at EOF or on an
-        unparseable head.  ``leftover`` from the previous call must be
-        fed back in so no bytes are dropped between requests.
+        wrote several back-to-back — or ``(None, b"")`` when the client
+        hangs up mid-request.  ``leftover`` from the previous call must
+        be fed back in so no bytes are dropped between requests.  Raises
+        :class:`_BadFraming` for a request that cannot be delimited.
         """
         head = leftover
         while b"\r\n\r\n" not in head:
+            if len(head) > _MAX_HEAD:
+                raise _BadFraming(431, "request head too large")
             chunk = await reader.read(4096)
             if not chunk:
                 return None, b""
             head += chunk
-            if len(head) > _MAX_HEAD:
-                return None, b""
         head, _, rest = head.partition(b"\r\n\r\n")
+        if len(head) > _MAX_HEAD:
+            raise _BadFraming(431, "request head too large")
         lines = head.decode("latin-1").split("\r\n")
         parts = lines[0].split()
         if len(parts) != 3:
-            return None, b""
+            raise _BadFraming(400, "malformed request line")
         verb, path = parts[0], parts[1]
         headers: Dict[str, str] = {}
         for line in lines[1:]:
             name, sep, value = line.partition(":")
             if sep:
-                headers[name.strip().lower()] = value.strip()
-        try:
-            length = int(headers.get("content-length") or 0)
-        except ValueError:
-            return None, b""
+                name, value = name.strip().lower(), value.strip(" \t")
+                if name == "content-length" and \
+                        headers.get(name, value) != value:
+                    raise _BadFraming(400, "conflicting Content-Length")
+                headers[name] = value
+        # Only Content-Length framing is implemented: a proxy that framed
+        # by another rule would disagree about where this request ends
+        if "transfer-encoding" in headers:
+            raise _BadFraming(501, "Transfer-Encoding is not supported")
+        # 1*DIGIT: int() would also take "-25", "+5" or "1_0", and a
+        # negative length would hand part of this body to the next request
+        field = headers.get("content-length", "0")
+        if not (field.isascii() and field.isdigit()):
+            raise _BadFraming(400, f"bad Content-Length: {field!r}")
+        length = int(field)
         if length > _MAX_BODY:
-            return None, b""
+            raise _BadFraming(413, "request body too large")
         body = rest
         while len(body) < length:
             chunk = await reader.read(length - len(body))
@@ -436,8 +518,11 @@ class AsyncPlanningServer:
         try:
             if verb == "POST":
                 # Trace context is minted here, at the edge; an upstream
-                # X-Request-Id wins so proxy correlation ids survive.
-                rid = headers.get("x-request-id") or obs.new_request_id()
+                # X-Request-Id wins so proxy correlation ids survive —
+                # unless it could break the response head it is echoed in
+                rid = headers.get("x-request-id")
+                if not (rid and rid.isascii() and rid.isprintable()):
+                    rid = obs.new_request_id()
                 with obs.request_context(rid):
                     status, payload, extra = await self._handle(
                         verb, path, headers, body
@@ -458,14 +543,18 @@ class AsyncPlanningServer:
             extra = dict(extra or {})
             extra["X-Request-Id"] = rid
             self.telemetry.observe("request.edge", time.perf_counter() - t0)
-        self._served += 1
-        if status >= 400:
-            self._errors += 1
+        self._count(status)
+        keep_alive = keep_alive and not self._draining
         writer.write(self._response_bytes(status, payload, keep_alive, extra))
         await writer.drain()
         if self._logger is not None:
             self._logger.info("%s %s -> %d", verb, path, status)
         return keep_alive
+
+    def _count(self, status: int) -> None:
+        self._served += 1
+        if status >= 400:
+            self._errors += 1
 
     # -- request handling ----------------------------------------------
     def _error_doc(
@@ -526,7 +615,7 @@ class AsyncPlanningServer:
         t_parse = time.perf_counter()
         try:
             parsed = json.loads(body.decode("utf-8")) if body else {}
-        except (ValueError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
             payload, extra = self._error_doc(f"bad request body: {exc}")
             return 400, payload, extra
         try:
@@ -549,11 +638,12 @@ class AsyncPlanningServer:
         t_route = time.perf_counter()
         try:
             key = self.backend.routing(method, kwargs)
-        except KeyError as exc:
-            payload, extra = self._error_doc(
-                str(exc.args[0] if exc.args else exc)
-            )
-            return 404, payload, extra
+        except (KeyError, ReproError, TypeError, ValueError) as exc:
+            # an unknown trace (404) or a field of the wrong type or value
+            # (400), judged by the same mapping as a planning failure
+            status, message, _ = exception_status(exc)
+            payload, extra = self._error_doc(message)
+            return status, payload, extra
         self.telemetry.observe("stage.route", time.perf_counter() - t_route)
 
         if method == "plan":

@@ -1,7 +1,7 @@
-"""Embeddable planning service and its stdlib-only HTTP front-end.
+"""Embeddable planning service and the request rules every front-end uses.
 
 :class:`PlanningService` composes the pieces of this package into one
-object an application (or the bundled HTTP server) drives:
+object an application (or the HTTP front-end) drives:
 
 * a set of **named contact traces** it plans against;
 * a bounded registry of **shared TVEGs** — one per distinct
@@ -13,28 +13,17 @@ object an application (or the bundled HTTP server) drives:
 * a :class:`~repro.service.batcher.Batcher` deduping and amortizing what
   the cache misses.
 
-The HTTP layer is deliberately boring: :class:`ThreadingHTTPServer` from
-the standard library, JSON in / JSON out, five endpoints:
-
-========================  ====================================================
-``POST /plan``            plan one broadcast; body mirrors
-                          :meth:`PlanningService.plan`'s keywords
-``POST /plan_many``       plan a batch of broadcasts over one instance via
-                          :func:`repro.plan_broadcast_many`; body mirrors
-                          :meth:`PlanningService.plan_many`'s keywords
-``GET /healthz``          liveness + queue depth
-``GET /metrics``          cache, batcher, request counters, and latency
-                          histograms — JSON by default, Prometheus text
-                          via ``Accept: text/plain``
-``GET /cache/stats``      the plan cache's counters alone
-========================  ====================================================
-
-Admission control surfaces as status codes: a full batch queue is **429**
-with a ``Retry-After`` header, a request that waited past the per-request
-timeout is **504** (the computation keeps running and lands in the cache,
-so the retry is usually a hit), an infeasible instance is **422**, and
-malformed input is **400** — the server never turns a bad request into a
-stack trace.
+This module owns no socket.  HTTP lives in :mod:`repro.service.asgi`
+(the asyncio front-end behind ``repro serve``, in-process or over a
+shard pool); what it shares with the shard workers is defined here:
+:func:`parse_plan_request` validates a ``POST /plan`` / ``POST
+/plan_many`` body, :func:`execute_request` runs it, and
+:func:`exception_status` maps a planning failure to its status code.
+Admission control surfaces as **429** with a ``Retry-After`` hint, a
+request that waited past the per-request timeout is **504** (the
+computation keeps running and lands in the cache, so the retry is
+usually a hit), an infeasible instance is **422**, and malformed input
+is **400** — a bad request never becomes a stack trace.
 """
 
 from __future__ import annotations
@@ -42,12 +31,10 @@ from __future__ import annotations
 import json
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from .. import obs
 from ..api import (
     BroadcastPlan,
     BroadcastPlanSet,
@@ -57,12 +44,6 @@ from ..api import (
 )
 from ..errors import InfeasibleError, ReproError, ServiceOverloaded
 from ..obs.histogram import MetricsRegistry
-from ..obs.metrics import percentile
-from ..obs.promtext import (
-    PROMETHEUS_CONTENT_TYPE,
-    render_prometheus,
-    wants_prometheus,
-)
 from ..schedule.io import plan_to_doc, planset_to_doc
 from ..traces.model import ContactTrace
 from ..tveg.builders import tveg_from_trace
@@ -71,16 +52,13 @@ from .batcher import Batcher
 from .cache import PlanCache
 
 __all__ = [
-    "LatencyRecorder",
     "PlanResponse",
     "PlanSetResponse",
     "PlanningService",
     "exception_status",
     "execute_request",
-    "make_server",
     "parse_plan_request",
     "read_warm_file",
-    "serve",
 ]
 
 
@@ -151,9 +129,10 @@ def parse_plan_request(path: str, body: Any) -> Tuple[str, Dict[str, Any]]:
     Returns ``(method_name, kwargs)`` where ``method_name`` is the
     :class:`PlanningService` method to call (``"plan"`` / ``"plan_many"``)
     and ``kwargs`` are its keyword arguments with ``scheduler_kwargs``
-    already merged in.  Shared by every front-end — the threading server,
-    the asyncio server, and the shard router — so a request is judged by
-    exactly one set of rules no matter which door it came in through.
+    already merged in.  Shared by the asyncio front-end, the shard router,
+    and ``--warm`` files, so a request is judged by exactly one set of
+    rules whether it arrives over HTTP, crosses to a shard worker, or is
+    replayed at boot.
 
     Raises :class:`ValueError` with a client-facing message (HTTP 400) on
     malformed input, and :class:`KeyError` for an unknown endpoint path.
@@ -177,6 +156,8 @@ def parse_plan_request(path: str, body: Any) -> Tuple[str, Dict[str, Any]]:
     kwargs = {k: body[k] for k in fields if k in body}
     window = kwargs.get("window")
     if isinstance(window, list):
+        if len(window) != 2:
+            raise ValueError('"window" is a start time or a [start, end] pair')
         kwargs["window"] = tuple(window)
     overlap = set(kwargs) & set(extra)
     if overlap:
@@ -191,10 +172,13 @@ def parse_plan_request(path: str, body: Any) -> Tuple[str, Dict[str, Any]]:
 def exception_status(exc: BaseException) -> Tuple[int, str, Optional[float]]:
     """Map a planning exception to ``(http_status, message, retry_after)``.
 
-    The one place HTTP semantics are decided: the threading server, the
-    asyncio front-end, and the shard workers (which ship the mapping across
-    the process boundary as plain data) all call this, so a given failure
-    produces the same status code everywhere.
+    The one place a failure's status code is decided: the in-process
+    backend and the shard workers (which ship the mapping across the
+    process boundary as plain data) both reach it through
+    :func:`execute_request`, and the asyncio front-end calls it for what
+    it rejects before dispatch (fields that fail routing, a backend
+    refusing admission), so a given failure produces the same status
+    code whichever deployment served it.
     """
     if isinstance(exc, KeyError):
         return 404, str(exc.args[0] if exc.args else exc), None
@@ -275,49 +259,6 @@ def read_warm_file(path: str) -> List[Dict[str, Any]]:
     return configs
 
 
-class LatencyRecorder:
-    """Bounded per-endpoint request-latency reservoir with percentiles.
-
-    Keeps the most recent ``window`` samples per endpoint (an old-sample
-    reservoir would misreport a service whose latency shifted an hour ago)
-    and reports p50/p95/p99 through :func:`repro.obs.metrics.percentile`.
-    Thread-safe; recording is append-to-deque cheap.
-    """
-
-    def __init__(self, window: int = 2048) -> None:
-        if window < 1:
-            raise ValueError(f"latency window must be >= 1, got {window}")
-        self._window = int(window)
-        self._lock = threading.Lock()
-        self._samples: Dict[str, deque] = {}
-        self._counts: Dict[str, int] = {}
-
-    def record(self, endpoint: str, seconds: float) -> None:
-        with self._lock:
-            q = self._samples.get(endpoint)
-            if q is None:
-                q = self._samples[endpoint] = deque(maxlen=self._window)
-            q.append(seconds)
-            self._counts[endpoint] = self._counts.get(endpoint, 0) + 1
-
-    def as_dict(self) -> Dict[str, Dict[str, float]]:
-        """``{endpoint: {count, window, p50_ms, p95_ms, p99_ms, max_ms}}``."""
-        with self._lock:
-            snap = {k: list(v) for k, v in self._samples.items()}
-            counts = dict(self._counts)
-        doc: Dict[str, Dict[str, float]] = {}
-        for endpoint, values in snap.items():
-            doc[endpoint] = {
-                "count": float(counts.get(endpoint, len(values))),
-                "window": float(len(values)),
-                "p50_ms": percentile(values, 50.0) * 1e3,
-                "p95_ms": percentile(values, 95.0) * 1e3,
-                "p99_ms": percentile(values, 99.0) * 1e3,
-                "max_ms": max(values) * 1e3,
-            }
-        return doc
-
-
 class PlanningService:
     """Cache- and batch-backed broadcast planning over named traces.
 
@@ -380,7 +321,6 @@ class PlanningService:
         self._started = time.time()
         self._requests = 0
         self._errors = 0
-        self._latency = LatencyRecorder()
 
     # ------------------------------------------------------------------
     @property
@@ -520,7 +460,6 @@ class PlanningService:
             self.telemetry.inc("service.plan_errors")
             raise
         wall = time.perf_counter() - t0
-        self._latency.record("plan", wall)
         self.telemetry.observe("request.plan", wall)
         return PlanResponse(plan=plan, key=key, cached=cached,
                             wall_seconds=wall)
@@ -604,7 +543,6 @@ class PlanningService:
             self.telemetry.inc("service.plan_many_errors")
             raise
         wall = time.perf_counter() - t0
-        self._latency.record("plan_many", wall)
         self.telemetry.observe("request.plan_many", wall)
         return PlanSetResponse(
             planset=BroadcastPlanSet(plans=tuple(plans)),
@@ -652,7 +590,6 @@ class PlanningService:
             "shared_tvegs": shared,
             "cache": self._cache.stats(),
             "batcher": self._batcher.stats(),
-            "latency": self._latency.as_dict(),
             "telemetry": self.telemetry.as_doc(),
         }
 
@@ -663,159 +600,3 @@ class PlanningService:
             "queue_depth": self._batcher.queue_depth,
             "traces": self.trace_names(),
         }
-
-
-# ----------------------------------------------------------------------
-# HTTP front-end
-# ----------------------------------------------------------------------
-
-
-class _PlanningServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer that carries the service for its handlers."""
-
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def __init__(self, address, service: PlanningService):
-        super().__init__(address, _Handler)
-        self.service = service
-
-
-class _Handler(BaseHTTPRequestHandler):
-    server_version = "repro-serve/1"
-    protocol_version = "HTTP/1.1"
-
-    # quiet by default; the CLI's -v wires a logger in
-    def log_message(self, format: str, *args: Any) -> None:
-        logger = getattr(self.server, "logger", None)
-        if logger is not None:
-            logger.info("%s " + format, self.address_string(), *args)
-
-    # -- helpers -------------------------------------------------------
-    def _send_json(
-        self,
-        status: int,
-        doc: Mapping[str, Any],
-        headers: Optional[Mapping[str, str]] = None,
-    ) -> None:
-        body = json.dumps(doc, sort_keys=True).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_error(self, status: int, message: str, **extra: Any) -> None:
-        doc = {"error": message}
-        headers = {}
-        retry_after = extra.pop("retry_after", None)
-        if retry_after is not None:
-            headers["Retry-After"] = str(int(max(1, retry_after)))
-            doc["retry_after"] = retry_after
-        doc.update(extra)
-        self._send_json(status, doc, headers)
-
-    def _send_text(
-        self,
-        status: int,
-        body: str,
-        content_type: str,
-        headers: Optional[Mapping[str, str]] = None,
-    ) -> None:
-        raw = body.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(raw)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(raw)
-
-    # -- endpoints -----------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        service: PlanningService = self.server.service
-        path = self.path.partition("?")[0]
-        if path == "/healthz":
-            self._send_json(200, service.healthz())
-        elif path == "/metrics":
-            # Content negotiation: the JSON document stays the default
-            # (and stays byte-identical for existing clients); a scraper
-            # sending Accept: text/plain gets Prometheus exposition text.
-            doc = service.metrics()
-            if wants_prometheus(self.headers.get("Accept")):
-                self._send_text(
-                    200, render_prometheus(doc), PROMETHEUS_CONTENT_TYPE
-                )
-            else:
-                self._send_json(200, doc)
-        elif path == "/cache/stats":
-            self._send_json(200, service.cache.stats())
-        else:
-            self._send_error(404, f"no such endpoint: {self.path}")
-
-    def do_POST(self) -> None:  # noqa: N802 (http.server API)
-        service: PlanningService = self.server.service
-        # Trace context is minted at the edge; an upstream-supplied
-        # X-Request-Id wins so proxies keep their correlation ids.
-        rid = self.headers.get("X-Request-Id") or obs.new_request_id()
-        with obs.request_context(rid):
-            try:
-                length = int(self.headers.get("Content-Length") or 0)
-                raw = self.rfile.read(length) if length else b"{}"
-                body = json.loads(raw.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError) as exc:
-                self._send_error(400, f"bad request body: {exc}")
-                return
-            try:
-                method, kwargs = parse_plan_request(self.path, body)
-            except KeyError as exc:
-                self._send_error(404, str(exc.args[0] if exc.args else exc))
-                return
-            except ValueError as exc:
-                self._send_error(400, str(exc))
-                return
-            try:
-                response = getattr(service, method)(**kwargs)
-            except Exception as exc:
-                status, message, retry_after = exception_status(exc)
-                self._send_error(status, message, retry_after=retry_after)
-            else:
-                self._send_json(
-                    200, response.as_doc(), {"X-Request-Id": rid}
-                )
-
-
-def make_server(
-    service: PlanningService,
-    host: str = "127.0.0.1",
-    port: int = 8437,
-) -> ThreadingHTTPServer:
-    """A bound (not yet serving) HTTP server wrapping ``service``.
-
-    ``port=0`` binds an ephemeral port — the tests' pattern::
-
-        srv = make_server(service, port=0)
-        threading.Thread(target=srv.serve_forever, daemon=True).start()
-        url = "http://%s:%d" % srv.server_address
-        ...
-        srv.shutdown(); service.close()
-    """
-    return _PlanningServer((host, port), service)
-
-
-def serve(
-    service: PlanningService,
-    host: str = "127.0.0.1",
-    port: int = 8437,
-) -> None:
-    """Serve until interrupted, then shut down cleanly (blocking call)."""
-    srv = make_server(service, host, port)
-    try:
-        srv.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        srv.server_close()
-        service.close()

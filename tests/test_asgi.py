@@ -10,12 +10,16 @@ contract: a repeat ``/plan`` answered from the edge embeds the exact
 
 import http.client
 import json
+import logging
 import os
 import socket
 import sys
 import threading
+import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.service import PlanningService
 from repro.service.asgi import AsyncPlanningServer, BackgroundServer, LocalBackend
@@ -259,16 +263,12 @@ def _load_loadtest():
     return loadtest
 
 
-def _raw_post(host, port, path, body):
-    data = json.dumps(body).encode("utf-8")
-    head = (
-        f"POST {path} HTTP/1.1\r\n"
-        f"Host: {host}:{port}\r\n"
-        "Content-Type: application/json\r\n"
-        f"Content-Length: {len(data)}\r\n"
-        "\r\n"
-    ).encode("latin-1")
-    return head + data
+def _raw(verb, path, body=b"", headers=()):
+    lines = [f"{verb} {path} HTTP/1.1", "Host: test"]
+    lines += [f"{name}: {value}" for name, value in headers]
+    if body:
+        lines.append(f"Content-Length: {len(body)}")
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
 
 
 class TestPipelining:
@@ -283,7 +283,7 @@ class TestPipelining:
         with socket.create_connection((host, port), timeout=60) as sock:
             # all three requests hit the wire before any response is read
             sock.sendall(b"".join(
-                _raw_post(host, port, "/plan", b) for b in bodies
+                _raw("POST", "/plan", json.dumps(b).encode()) for b in bodies
             ))
             rfile = sock.makefile("rb")
             docs = []
@@ -305,7 +305,7 @@ class TestPipelining:
         bodies = [BODY, {**BODY, "bogus_field": 1}, {**BODY, "seed": 5}]
         with socket.create_connection((host, port), timeout=60) as sock:
             sock.sendall(b"".join(
-                _raw_post(host, port, "/plan", b) for b in bodies
+                _raw("POST", "/plan", json.dumps(b).encode()) for b in bodies
             ))
             rfile = sock.makefile("rb")
             statuses = []
@@ -346,3 +346,289 @@ class TestPipelining:
         assert seen == list(range(6))  # FIFO token matching
         assert identity.violations == []
         assert len(identity.snapshot()) == 2  # two distinct configurations
+
+
+# ----------------------------------------------------------------------
+# request framing: strict Content-Length, fuzzed byte streams, drain
+# ----------------------------------------------------------------------
+
+#: how long one raw exchange may take before the server counts as hung
+EXCHANGE_DEADLINE = 10.0
+
+
+def _exchange(address, data):
+    """Send ``data``, half-close, and read until the server closes.
+
+    Returns everything the server wrote.  A reset counts as a close: the
+    server closes with unread client bytes in its buffer after refusing an
+    oversized head, which the kernel turns into a reset once the response
+    has been delivered.  Hitting :data:`EXCHANGE_DEADLINE` fails the test.
+    """
+    sock = socket.create_connection(address, timeout=EXCHANGE_DEADLINE)
+    received = b""
+    try:
+        try:
+            sock.sendall(data)
+            sock.shutdown(socket.SHUT_WR)
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the server already answered and closed
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:
+                break
+            except socket.timeout:
+                pytest.fail(f"no close within {EXCHANGE_DEADLINE} s "
+                            f"after sending {data[:80]!r}")
+            if not chunk:
+                break
+            received += chunk
+    finally:
+        sock.close()
+    return received
+
+
+def _parse_responses(data):
+    """Split a server's output into ``(status, headers, body)`` responses,
+    asserting each is complete, well-formed HTTP/1.1."""
+    responses = []
+    while data:
+        head, sep, rest = data.partition(b"\r\n\r\n")
+        assert sep, f"truncated response head: {data[:80]!r}"
+        lines = head.decode("latin-1").split("\r\n")
+        version, status, _reason = lines[0].split(" ", 2)
+        assert version == "HTTP/1.1"
+        headers = {}
+        for line in lines[1:]:
+            name, sep, value = line.partition(": ")
+            assert sep, f"malformed header line {line!r}"
+            headers[name.lower()] = value
+        length = int(headers["content-length"])
+        assert len(rest) >= length, "truncated response body"
+        body, data = rest[:length], rest[length:]
+        if headers["content-type"] == "application/json":
+            json.loads(body)
+        responses.append((int(status), headers, body))
+    return responses
+
+
+class TestContentLength:
+    """``Content-Length`` is 1*DIGIT; anything else is a 400 and a close,
+    so no byte of one request's body is ever parsed as another request."""
+
+    SMUGGLED = b"GET /healthz HTTP/1.1\r\n\r\n"
+
+    def test_negative_length_cannot_smuggle_a_request(self, server):
+        body = b'{"deadline": 1}' + self.SMUGGLED
+        data = (b"POST /plan HTTP/1.1\r\nContent-Length: -25\r\n\r\n"
+                + body)
+        responses = _parse_responses(_exchange(server.address, data))
+        assert [status for status, _, _ in responses] == [400]
+        assert responses[0][1]["connection"] == "close"
+        assert b"Content-Length" in responses[0][2]
+
+    @pytest.mark.parametrize("field, body", [
+        # int() reads the first two as 2 and 10: the body is sized so a
+        # lenient parser would answer the smuggled request as well
+        ("+2", b"{}"), ("1_0", b"{}        "),
+        ("5 5", b"{}"), ("0x5", b"{}"), ("5.0", b"{}"), ("", b"{}"),
+        ("\u00b2", b"{}"), ("5,5", b"{}"),
+    ])
+    def test_non_digit_lengths_rejected(self, server, field, body):
+        data = (f"POST /plan HTTP/1.1\r\nContent-Length: {field}\r\n\r\n"
+                .encode("latin-1") + body + self.SMUGGLED)
+        responses = _parse_responses(_exchange(server.address, data))
+        assert [status for status, _, _ in responses] == [400]
+
+    def test_conflicting_lengths_rejected(self, server):
+        data = (b"POST /nope HTTP/1.1\r\nContent-Length: 25\r\n"
+                b"Content-Length: 0\r\n\r\n" + self.SMUGGLED)
+        responses = _parse_responses(_exchange(server.address, data))
+        assert [status for status, _, _ in responses] == [400]
+
+    def test_transfer_encoding_not_implemented(self, server):
+        data = (b"POST /nope HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+                b"19\r\n" + self.SMUGGLED + b"\r\n0\r\n\r\n")
+        responses = _parse_responses(_exchange(server.address, data))
+        assert [status for status, _, _ in responses] == [501]
+
+    def test_surrounding_whitespace_is_allowed(self, server):
+        data = (b"POST /nope HTTP/1.1\r\nContent-Length: \t2 \r\n\r\n{}"
+                + self.SMUGGLED)
+        responses = _parse_responses(_exchange(server.address, data))
+        assert [status for status, _, _ in responses] == [404, 200]
+
+    def test_oversized_body_is_413_without_reading_it(self, server):
+        data = b"POST /plan HTTP/1.1\r\nContent-Length: 9000000\r\n\r\n"
+        responses = _parse_responses(_exchange(server.address, data))
+        assert [status for status, _, _ in responses] == [413]
+
+    def test_oversized_head_is_431(self, server):
+        data = _raw("GET", "/healthz", headers=[("X-Pad", "a" * 70000)])
+        responses = _parse_responses(_exchange(server.address, data))
+        assert [status for status, _, _ in responses] == [431]
+
+    def test_malformed_request_line_is_400(self, server):
+        responses = _parse_responses(
+            _exchange(server.address, b"GARBAGE\r\n\r\n" + self.SMUGGLED)
+        )
+        assert [status for status, _, _ in responses] == [400]
+
+
+class TestBadFieldsAre400:
+    """Fields of the wrong type or shape fail routing; that is the
+    client's error (400), never a leaked 500."""
+
+    @pytest.mark.parametrize("path, body", [
+        ("/plan", {"deadline": "x"}),
+        ("/plan", {"deadline": None}),
+        ("/plan_many", {"sources": 5}),
+        ("/plan", {"deadline": 600, "algorithm": "quantum"}),
+        ("/plan", {"deadline": 600, "window": [1]}),
+    ])
+    def test_bad_field(self, client, path, body):
+        status, doc = client.post(path, body)
+        assert status == 400
+        assert "internal error" not in doc["error"]
+
+    def test_deeply_nested_body(self, server):
+        data = _raw("POST", "/plan", body=b"[" * 100000)
+        responses = _parse_responses(_exchange(server.address, data))
+        assert [status for status, _, _ in responses] == [400]
+
+    def test_unprintable_request_id_is_not_echoed(self, server):
+        data = _raw("POST", "/plan", body=b"{}",
+                    headers=[("X-Request-Id", "a\nInjected: 1")])
+        (status, headers, _), = _parse_responses(
+            _exchange(server.address, data)
+        )
+        assert status == 400
+        assert "injected" not in headers
+        assert len(headers["x-request-id"]) == 16
+
+
+# Requests the fuzzer strings together.  None of them plans: bodies are
+# either not JSON or JSON that fails validation before any backend work.
+_PATHS = st.sampled_from(["/plan", "/plan_many", "/healthz", "/nope", "/"])
+_NOT_A_NUMBER = (
+    st.none() | st.lists(st.integers(), max_size=2)
+    | st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)
+)
+_BODIES = st.one_of(
+    st.binary(max_size=64).map(lambda b: b"\x00" + b),
+    _NOT_A_NUMBER.map(lambda v: json.dumps({"deadline": v}).encode()),
+    st.just(b"{}"),
+    st.just(b"[" * 5000),
+)
+_HEADER_VALUES = st.text(
+    st.characters(max_codepoint=255, blacklist_characters="\r"), max_size=20
+)
+
+
+@st.composite
+def _request_bytes(draw):
+    verb = draw(st.sampled_from(["GET", "POST", "PUT"]))
+    headers = draw(st.lists(
+        st.tuples(st.sampled_from(["X-Request-Id", "Accept", "X-Other"]),
+                  _HEADER_VALUES),
+        max_size=2,
+    ))
+    body = draw(_BODIES) if verb != "GET" else b""
+    return _raw(verb, draw(_PATHS), body=body, headers=headers)
+
+
+_BAD_LENGTH = st.builds(
+    lambda field, tail: (b"POST /plan HTTP/1.1\r\nContent-Length: "
+                         + field.encode("latin-1") + b"\r\n\r\n" + tail),
+    st.sampled_from(["-25", "+5", "1_0", "", "0x10", " -1", "5e1"])
+    | _HEADER_VALUES.filter(lambda v: not v.strip(" \t").isdigit()),
+    st.just(b"{}GET /healthz HTTP/1.1\r\n\r\n"),
+)
+_OVERSIZED = st.sampled_from([
+    b"GET / HTTP/1.1\r\nX-Pad: " + b"a" * 70000 + b"\r\n\r\n",
+    b"POST /plan HTTP/1.1\r\nContent-Length: 9000000\r\n\r\n",
+])
+_PIECES = st.one_of(
+    _request_bytes(), _request_bytes(), _BAD_LENGTH, _OVERSIZED,
+    st.binary(max_size=64),
+)
+
+
+@st.composite
+def _streams(draw):
+    """A pipelined stream of pieces, optionally cut short."""
+    data = b"".join(draw(st.lists(_PIECES, min_size=1, max_size=4)))
+    if draw(st.booleans()):
+        data = data[:draw(st.integers(0, len(data)))]
+    return data
+
+
+class TestFramingFuzz:
+    @settings(
+        max_examples=60, deadline=None, derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow,
+                               HealthCheck.data_too_large],
+    )
+    @given(data=_streams())
+    def test_every_stream_ends_in_responses_or_a_close(self, server, data):
+        # _exchange fails on a hang; parsing fails on a malformed or
+        # truncated response
+        responses = _parse_responses(_exchange(server.address, data))
+        for i, (status, headers, _) in enumerate(responses):
+            assert status != 500, data[:200]
+            if headers["connection"] == "close":
+                assert i == len(responses) - 1, "response after a close"
+
+
+class TestDrain:
+    def test_idle_keep_alive_connection_closed_promptly(self, trace, caplog):
+        service = PlanningService({"demo": trace}, max_wait=0.0)
+        srv = BackgroundServer(LocalBackend(service, {"demo": trace}))
+        client = Client(srv.address)
+        try:
+            assert client.get("/healthz")[0] == 200
+            sock = client.conn.sock  # idle keep-alive connection
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                t0 = time.monotonic()
+                srv.stop()
+                elapsed = time.monotonic() - t0
+            assert not srv._thread.is_alive()
+            assert elapsed < 5.0
+            sock.settimeout(5.0)
+            assert sock.recv(1) == b""  # EOF, not a hang
+            assert not [r for r in caplog.records if r.name == "asyncio"]
+        finally:
+            client.close()
+
+    def test_in_flight_request_answered_then_closed(self, trace):
+        service = PlanningService({"demo": trace}, max_wait=0.0)
+        backend = LocalBackend(service, {"demo": trace})
+        entered, release = threading.Event(), threading.Event()
+        healthz = backend.healthz
+
+        def slow_healthz():
+            entered.set()
+            release.wait(10)
+            return healthz()
+
+        backend.healthz = slow_healthz
+        srv = BackgroundServer(backend)
+        client = Client(srv.address)
+        try:
+            client.conn.request("GET", "/healthz")
+            assert entered.wait(10)
+            stopper = threading.Thread(target=srv.stop)
+            stopper.start()
+            deadline = time.monotonic() + 10
+            while not srv.server._draining and time.monotonic() < deadline:
+                time.sleep(0.01)
+            release.set()
+            resp = client.conn.getresponse()
+            assert resp.status == 200
+            assert resp.getheader("Connection") == "close"
+            resp.read()
+            stopper.join(10)
+            assert not stopper.is_alive()
+        finally:
+            release.set()
+            client.close()

@@ -21,10 +21,11 @@ from repro import obs
 from repro.api import plan_broadcast, plan_cache_key
 from repro.errors import ServiceOverloaded
 from repro.service import (
+    BackgroundServer,
     Batcher,
+    LocalBackend,
     PlanCache,
     PlanningService,
-    make_server,
 )
 from repro.traces import HaggleLikeConfig, haggle_like_trace
 
@@ -355,14 +356,13 @@ def service(service_trace):
 
 
 @pytest.fixture
-def server(service):
-    srv = make_server(service, port=0)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    thread.start()
-    yield "http://%s:%d" % srv.server_address[:2]
-    srv.shutdown()
-    srv.server_close()
-    thread.join(timeout=5)
+def server(service, service_trace):
+    # edge cache off: repeats must reach the plan cache these tests watch
+    srv = BackgroundServer(
+        LocalBackend(service, {"demo": service_trace}), edge_cache=0
+    )
+    yield "http://%s:%d" % srv.address
+    srv.stop()
 
 
 def _request(url, path, body=None):
@@ -544,15 +544,11 @@ class TestHTTP:
             raise ServiceOverloaded("synthetic overload", retry_after=2.0)
 
         monkeypatch.setattr(svc.batcher, "submit", reject)
-        srv = make_server(svc, port=0)
-        thread = threading.Thread(target=srv.serve_forever, daemon=True)
-        thread.start()
+        srv = BackgroundServer(LocalBackend(svc, {"demo": service_trace}))
         try:
-            url = "http://%s:%d" % srv.server_address[:2]
+            url = "http://%s:%d" % srv.address
             st, doc, headers = _request(url, "/plan", {"deadline": 600})
             assert st == 429
             assert headers.get("Retry-After") == "2"
         finally:
-            srv.shutdown()
-            srv.server_close()
-            svc.close()
+            srv.stop()  # drains the backend, which closes svc

@@ -92,13 +92,18 @@ class TestShardPool:
             pool.routing("plan", {**BODY, "trace": "nope"})
 
     def test_metrics_shape(self, pool):
+        shard_id, future = pool.submit_request("plan", dict(BODY))
+        assert future.result(timeout=120)[0] == 200
         doc = pool.metrics()
         assert doc["mode"] == "sharded"
         assert len(doc["shards"]) == pool.shards
         for entry in doc["shards"]:
             assert entry["alive"] is True
             assert entry["queue_depth"] is not None
-            assert "latency" in entry["service"]
+            assert "histograms" in entry["service"]["telemetry"]
+        # request latency is the streaming request.plan histogram
+        owner = doc["shards"][shard_id]["service"]["telemetry"]
+        assert owner["histograms"]["request.plan"]["count"] >= 1
 
     def test_healthz(self, pool):
         doc = pool.healthz()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 SUBPACKAGES = [
@@ -151,8 +152,10 @@ See `docs/PROTOCOL.md` for the event model and the parity argument;
 `repro.service` is the serving layer over `plan_broadcast`: a
 content-addressed two-tier plan cache (`PlanCache`), a bounded batching
 queue that dedupes concurrent duplicate requests to one computation
-(`Batcher`), and an embeddable facade plus stdlib-only HTTP server
-(`PlanningService`, `make_server`, `serve`) behind `repro serve`:
+(`Batcher`), an embeddable facade (`PlanningService`), and the asyncio
+HTTP front-end behind `repro serve` (`AsyncPlanningServer` over a
+`LocalBackend` or a `ShardPool`; `BackgroundServer` runs it on a
+thread):
 
 ```python
 from repro.service import PlanningService
@@ -235,9 +238,12 @@ def first_paragraph(doc: str) -> str:
 
 def signature_of(obj) -> str:
     try:
-        return str(inspect.signature(obj))
+        sig = str(inspect.signature(obj))
     except (TypeError, ValueError):
         return ""
+    # a function default renders with its memory address; keep the name
+    # so regenerating the file is deterministic
+    return re.sub(r"<function (\S+) at 0x[0-9a-f]+>", r"\1", sig)
 
 
 def render_module(name: str) -> str:

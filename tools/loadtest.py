@@ -31,9 +31,10 @@ Examples::
         --requests 200 --concurrency 16 --warm-tail \\
         --assert-zero-errors --assert-cache-hits --out report.json
 
-    # the acceptance experiment: 4 shards vs the single-process server
+    # 4 shards vs one in-process service (add --min-speedup R to fail
+    # below a throughput ratio R)
     PYTHONPATH=src python tools/loadtest.py --compare --shards 4 \\
-        --requests 400 --concurrency 16 --warm-tail --min-speedup 4
+        --requests 400 --concurrency 16 --warm-tail
 
 Exits nonzero when any ``--assert-*`` / ``--min-speedup`` bound fails.
 """
@@ -149,10 +150,8 @@ class PooledClient:
     on a one-box benchmark costs about as much as the server spends
     answering — the measurement ends up client-bound and both servers
     read the same.  A thread-local :class:`http.client.HTTPConnection`
-    reuses the connection when the server keeps it alive (the async
-    front-end does) and transparently reconnects when it does not (the
-    legacy HTTP/1.0 server closes after every response — that churn is
-    part of what the comparison measures).
+    reuses the connection while the server keeps it alive and
+    transparently reconnects when it does not (a draining server).
     """
 
     def __init__(self, url: str, timeout: float) -> None:
@@ -205,11 +204,10 @@ def _read_http_response(rfile):
 
     Returns ``(status, doc, close)``: the status code, the decoded JSON
     body (``None`` when the payload is not JSON), and whether the server
-    is closing the connection after this response.  Handles
-    Content-Length framing (what both repro front-ends emit), chunked
-    transfer coding, and the HTTP/1.0 read-until-close fallback.  The
-    caller owns ``rfile`` — one buffered reader per connection, so
-    read-ahead never swallows a later pipelined response.
+    is closing the connection after this response.  Only Content-Length
+    framing is read — it is all the repro front-end emits.  The caller
+    owns ``rfile`` — one buffered reader per connection, so read-ahead
+    never swallows a later pipelined response.
     """
     line = rfile.readline(_MAX_LINE)
     if not line:
@@ -217,7 +215,7 @@ def _read_http_response(rfile):
     parts = line.decode("latin-1").split(None, 2)
     if len(parts) < 2 or not parts[0].startswith("HTTP/"):
         raise ValueError(f"malformed status line {line!r}")
-    version, status = parts[0], int(parts[1])
+    status = int(parts[1])
     headers = {}
     while True:
         line = rfile.readline(_MAX_LINE)
@@ -228,37 +226,13 @@ def _read_http_response(rfile):
         name, sep, value = line.decode("latin-1").partition(":")
         if sep:
             headers[name.strip().lower()] = value.strip()
-    te = headers.get("transfer-encoding", "").lower()
-    framed = True
-    if "chunked" in te:
-        body = bytearray()
-        while True:
-            size_line = rfile.readline(_MAX_LINE)
-            if not size_line:
-                raise ConnectionError("EOF inside chunked body")
-            size = int(size_line.split(b";")[0].strip() or b"0", 16)
-            if size == 0:
-                while True:  # trailers up to the final blank line
-                    trailer = rfile.readline(_MAX_LINE)
-                    if trailer in (b"\r\n", b"\n", b""):
-                        break
-                break
-            chunk = rfile.read(size + 2)  # data + CRLF
-            if len(chunk) < size:
-                raise ConnectionError("EOF inside chunk")
-            body += chunk[:size]
-        body = bytes(body)
-    elif "content-length" in headers:
-        length = int(headers["content-length"])
-        body = rfile.read(length)
-        if len(body) != length:
-            raise ConnectionError("EOF inside body")
-    else:
-        body = rfile.read()  # close-delimited: nothing can follow
-        framed = False
-    connection = headers.get("connection", "").lower()
-    close = (not framed or connection == "close"
-             or (version == "HTTP/1.0" and connection != "keep-alive"))
+    if "content-length" not in headers:
+        raise ValueError("response without Content-Length")
+    length = int(headers["content-length"])
+    body = rfile.read(length)
+    if len(body) != length:
+        raise ConnectionError("EOF inside body")
+    close = headers.get("connection", "").lower() == "close"
     try:
         doc = json.loads(body)
     except ValueError:
@@ -281,11 +255,11 @@ class PipelinedClient:
     its token by FIFO position so per-response identity checking is
     exactly as strong as before.
 
-    When the server closes the connection after a response (the legacy
-    HTTP/1.0 front-end always does), the outstanding requests are
-    replayed in order on a fresh connection; an unclean failure replays
-    too but charges the head request a retry, and a request out of
-    retries is reported as errored rather than looping forever.
+    When the server closes the connection after a response (a draining
+    server does), the outstanding requests are replayed in order on a
+    fresh connection; an unclean failure replays too but charges the
+    head request a retry, and a request out of retries is reported as
+    errored rather than looping forever.
     """
 
     _MAX_RETRIES = 4
@@ -420,7 +394,7 @@ class PipelinedClient:
                 if self._pending and self._pending[0] is entry:
                     self._pending.popleft()
                 if close:
-                    # a clean per-response close (HTTP/1.0 front-end)
+                    # a clean per-response close (a draining server)
                     # made progress, so replaying the rest is not a retry
                     self._teardown_locked()
                     if self._pending:
@@ -446,8 +420,7 @@ def scrape_prometheus(url: str, timeout: float = 30.0) -> Tuple[str, str]:
 class BootedServer:
     """A ``repro serve`` subprocess bound to an ephemeral port."""
 
-    def __init__(self, args, shards: int, legacy: bool,
-                 warm_file: Optional[str]) -> None:
+    def __init__(self, args, shards: int, warm_file: Optional[str]) -> None:
         cmd = [
             sys.executable, "-m", "repro", "serve", "--port", "0",
             "--synthetic", str(args.nodes), "--seed", str(args.trace_seed),
@@ -455,8 +428,6 @@ class BootedServer:
         ]
         if shards:
             cmd += ["--shards", str(shards), "--max-wait", "0"]
-        if legacy:
-            cmd += ["--legacy-http"]
         if warm_file:
             cmd += ["--warm", warm_file]
         env = dict(os.environ)
@@ -776,9 +747,9 @@ def make_parser() -> argparse.ArgumentParser:
     target.add_argument("--boot", action="store_true",
                         help="boot a repro serve subprocess to drive")
     target.add_argument("--compare", action="store_true",
-                        help="boot both the single-process (legacy) server "
-                        "and a sharded one; report the throughput ratio and "
-                        "cross-check plan identity")
+                        help="boot both a single-process server (no "
+                        "--shards) and a sharded one; report the throughput "
+                        "ratio and cross-check plan identity")
     p.add_argument("--requests", type=int, default=200)
     p.add_argument("--concurrency", type=int, default=16,
                    help="closed-loop worker count (ignored with --rate)")
@@ -795,8 +766,6 @@ def make_parser() -> argparse.ArgumentParser:
                    help="share of requests using POST /plan_many")
     p.add_argument("--shards", type=int, default=2,
                    help="shard count for --boot/--compare servers")
-    p.add_argument("--legacy-http", action="store_true",
-                   help="with --boot: use the blocking threaded front-end")
     p.add_argument("--warm-tail", action="store_true",
                    help="with --boot/--compare: write the tail configs to a "
                    "--warm file so misses exercise the shared cache tiers "
@@ -849,9 +818,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         if args.compare:
             identity = IdentityTracker()
-            print("# booting single-process baseline (legacy front-end)")
-            single = BootedServer(args, shards=0, legacy=True,
-                                  warm_file=warm_file)
+            print("# booting single-process baseline")
+            single = BootedServer(args, shards=0, warm_file=warm_file)
             try:
                 single_report = run_load(single.url, workload, args, identity)
             finally:
@@ -859,7 +827,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"# single: {single_report['throughput_rps']:.1f} rps, "
                   f"p99 {single_report['latency'].get('p99_ms', 0):.1f} ms")
             print(f"# booting {args.shards}-shard server")
-            sharded = BootedServer(args, shards=args.shards, legacy=False,
+            sharded = BootedServer(args, shards=args.shards,
                                    warm_file=warm_file)
             try:
                 sharded_report = run_load(sharded.url, workload, args,
@@ -907,8 +875,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             url = args.url
             if not url:
                 server = BootedServer(
-                    args, shards=0 if args.legacy_http else args.shards,
-                    legacy=args.legacy_http, warm_file=warm_file,
+                    args, shards=args.shards, warm_file=warm_file,
                 )
                 url = server.url
             identity = IdentityTracker()
@@ -916,7 +883,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 report = run_load(url, workload, args, identity)
                 prom = check_prometheus(
                     url, report, args, failures,
-                    expect_edge=server is not None and not args.legacy_http,
+                    expect_edge=server is not None,
                 )
                 if prom is not None:
                     report["prometheus"] = prom

@@ -1,8 +1,10 @@
 #!/usr/bin/env python
 """End-to-end smoke test for ``repro serve`` — run by CI, usable locally.
 
-Starts a real planning service over a synthetic trace and drives it the
-way a client fleet would, asserting the service's acceptance properties:
+Starts the HTTP front-end over an in-process planning service (the
+``repro serve`` shape without ``--shards``) on a synthetic trace and
+drives it the way a client fleet would, asserting the service's
+acceptance properties:
 
 1. **cache**: concurrent duplicate ``POST /plan`` requests all succeed,
    return identical plans, and ``GET /cache/stats`` records at least one
@@ -10,7 +12,8 @@ way a client fleet would, asserting the service's acceptance properties:
 2. **backpressure**: with a deliberately tiny queue bound, a burst of
    *distinct* (uncacheable) requests yields at least one HTTP 429 carrying
    a ``Retry-After`` header, while every admitted request still completes;
-3. **shutdown**: the server exits cleanly on SIGINT.
+3. **shutdown**: a ``repro serve`` subprocess answers ``POST /plan``, then
+   exits 0 on SIGINT without a traceback on stderr.
 
 Usage::
 
@@ -22,6 +25,8 @@ Exits nonzero with a diagnostic on the first violated property.
 from __future__ import annotations
 
 import json
+import signal
+import subprocess
 import sys
 import threading
 import urllib.error
@@ -68,18 +73,22 @@ def check(condition: bool, message: str) -> None:
 
 def main() -> int:
     from repro import obs
-    from repro.service import PlanCache, PlanningService, make_server
+    from repro.service import (
+        BackgroundServer,
+        LocalBackend,
+        PlanCache,
+        PlanningService,
+    )
     from repro.traces import HaggleLikeConfig, haggle_like_trace
 
     trace = haggle_like_trace(HaggleLikeConfig(num_nodes=14), seed=3)
+    traces = {"synthetic": trace}
 
-    # --- property 1+3: duplicate requests share one computation ----------
+    # --- property 1: duplicate requests share one computation ------------
     obs.enable()  # tracer counters observe the auxiliary-graph builds
-    service = PlanningService({"synthetic": trace}, max_wait=0.05, workers=4)
-    server = make_server(service, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    url = "http://%s:%d" % server.server_address[:2]
+    service = PlanningService(traces, max_wait=0.05, workers=4)
+    server = BackgroundServer(LocalBackend(service, traces))
+    url = "http://%s:%d" % server.address
     print(f"# serving on {url}")
 
     body = {"deadline": 2000, "window": 9000, "seed": 3}
@@ -131,24 +140,19 @@ def main() -> int:
     check(metrics["batcher"]["deduped"] >= 1,
           f"batcher deduped requests ({metrics['batcher']['deduped']})")
 
-    server.shutdown()
-    server.server_close()
-    service.close()
-    thread.join(timeout=10)
-    check(not thread.is_alive(), "first server shut down cleanly")
+    server.stop()
+    check(not server._thread.is_alive(), "first server shut down cleanly")
 
     # --- property 2: tiny queue bound produces 429 backpressure ----------
     # One slow worker, one queue slot: a burst of *distinct* problems (the
     # cache can't absorb them) must overflow admission control.
     service = PlanningService(
-        {"synthetic": trace},
+        traces,
         cache=PlanCache(capacity=4),
         workers=1, max_batch=1, max_wait=0.0, max_queue=1,
     )
-    server = make_server(service, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    url = "http://%s:%d" % server.server_address[:2]
+    server = BackgroundServer(LocalBackend(service, traces))
+    url = "http://%s:%d" % server.address
 
     burst = _concurrent(
         lambda i: _post(url, {"deadline": 2000, "window": 9000, "seed": i}),
@@ -164,14 +168,42 @@ def main() -> int:
     check(all(st in (200, 429) for st in statuses),
           f"burst produced only 200/429 (saw {sorted(set(statuses))})")
 
-    server.shutdown()
-    server.server_close()
-    service.close()
-    thread.join(timeout=10)
-    check(not thread.is_alive(), "second server shut down cleanly")
+    server.stop()
+    check(not server._thread.is_alive(), "second server shut down cleanly")
+
+    # --- property 3: the CLI answers, then exits cleanly on SIGINT -------
+    check_cli_sigint()
 
     print("service smoke test passed")
     return 0
+
+
+def check_cli_sigint() -> None:
+    """Boot ``repro serve``, plan once, SIGINT: exit 0, no traceback."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--synthetic", "12",
+         "--port", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        line = proc.stdout.readline()
+        check("serving on http://" in line,
+              f"repro serve printed its URL ({line.strip()!r})")
+        url = "http://" + line.split("http://")[1].split()[0]
+        st, doc, _ = _post(url, {"deadline": 2000, "window": 9000})
+        check(st == 200 and doc["plan"]["schedule"],
+              "repro serve answered POST /plan with a schedule")
+        proc.send_signal(signal.SIGINT)
+        _, stderr = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    check(proc.returncode == 0,
+          f"repro serve exited 0 on SIGINT (rc {proc.returncode})")
+    check("Traceback" not in stderr,
+          "repro serve wrote no traceback on SIGINT" +
+          (f":\n{stderr}" if "Traceback" in stderr else ""))
 
 
 if __name__ == "__main__":
