@@ -21,7 +21,7 @@ from repro.allocation import (
     closed_form_allocation,
     solve_allocation,
 )
-from repro.auxgraph import build_aux_graph
+from repro.auxgraph import build_compact_aux_graph
 from repro.dts import build_dts
 from repro.errors import InfeasibleError
 from repro.schedule import check_feasibility
@@ -111,8 +111,8 @@ def test_dts_pruning_size(benchmark):
     def run():
         pruned_dts = build_dts(tveg.tvg, 2000.0, prune=True)
         unpruned_dts = build_dts(tveg.tvg, 2000.0, prune=False)
-        a = build_aux_graph(tveg, source, 2000.0, pruned_dts)
-        b = build_aux_graph(tveg, source, 2000.0, unpruned_dts)
+        a = build_compact_aux_graph(tveg, source, 2000.0, pruned_dts)
+        b = build_compact_aux_graph(tveg, source, 2000.0, unpruned_dts)
         return a, b
 
     pruned, unpruned = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -125,9 +125,9 @@ def test_dts_pruning_size(benchmark):
     from repro.auxgraph import extract_schedule
     from repro.steiner import solve_memt
 
-    s1 = extract_schedule(pruned, solve_memt(pruned.graph, pruned.root, pruned.terminals))
+    s1 = extract_schedule(pruned, solve_memt(pruned, pruned.root, pruned.terminals))
     s2 = extract_schedule(
-        unpruned, solve_memt(unpruned.graph, unpruned.root, unpruned.terminals)
+        unpruned, solve_memt(unpruned, unpruned.root, unpruned.terminals)
     )
     assert check_feasibility(tveg, s1, source, 2000.0).feasible
     assert check_feasibility(tveg, s2, source, 2000.0).feasible

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.allocation import build_allocation_problem, solve_allocation
-from repro.auxgraph import build_aux_graph
+from repro.auxgraph import build_compact_aux_graph
 from repro.core.intervals import IntervalSet
 from repro.dts import build_dts
 from repro.algorithms import make_scheduler
@@ -72,15 +72,15 @@ def test_dts_build(benchmark, instance):
 @pytest.mark.benchmark(group="micro")
 def test_aux_graph_build(benchmark, instance):
     static, _, source = instance
-    aux = benchmark(build_aux_graph, static, source, 2000.0)
+    aux = benchmark(build_compact_aux_graph, static, source, 2000.0)
     assert aux.num_nodes > 0
 
 
 @pytest.mark.benchmark(group="micro")
 def test_steiner_solve(benchmark, instance):
     static, _, source = instance
-    aux = build_aux_graph(static, source, 2000.0)
-    edges = benchmark(solve_memt, aux.graph, aux.root, aux.terminals)
+    aux = build_compact_aux_graph(static, source, 2000.0)
+    edges = benchmark(solve_memt, aux, aux.root, aux.terminals)
     assert edges
 
 

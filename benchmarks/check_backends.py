@@ -1,12 +1,12 @@
 #!/usr/bin/env python
-"""Cross-check the compact (CSR), networkx, and numpy pipeline variants.
+"""Cross-check the stdlib (compact CSR) and numpy pipeline variants.
 
-Runs the benchmark instance through the nx backend, the stdlib compact
-backend, and the numpy compute kernels, and fails (exit 1) on any
+Runs the benchmark instance through the stdlib kernels (``compute="python"``,
+the reference) and the numpy kernels, and fails (exit 1) on any
 divergence: auxiliary graph size, Steiner work counters, tree cost, or the
 final schedules themselves — which must be *identical*, not merely equal in
-cost (every variant mirrors the networkx build's node/edge ordering, so the
-greedy solver's tie-breaks coincide).
+cost (the numpy build reproduces the compact build's node/edge ordering, so
+the greedy solver's tie-breaks coincide).
 
 Run from the repo root::
 
@@ -22,39 +22,26 @@ import sys
 from repro.algorithms import make_scheduler
 from repro.obs.bench import _build_instance
 
-#: label → make_scheduler kwargs for each pipeline variant
-VARIANTS = {
-    "nx": {"backend": "nx"},
-    "compact": {"compute": "python"},
-    "numpy": {"compute": "numpy"},
-}
-
-
 def check(name, tveg, source, delay):
-    """Compare one scheduler across variants; return divergence messages."""
+    """Compare one scheduler across kernels; return divergence messages."""
     problems = []
-    results = {
-        label: make_scheduler(name, **kwargs).run(tveg, source, delay)
-        for label, kwargs in VARIANTS.items()
-    }
-    ref = results["nx"]
-    for label in ("compact", "numpy"):
-        cur = results[label]
-        for key in ("aux_nodes", "aux_edges", "dts_points", "dcs_levels",
-                    "steiner_expansions", "tree_cost"):
-            if ref.info.get(key) != cur.info.get(key):
-                problems.append(
-                    f"{name}: info[{key!r}] diverges — "
-                    f"nx={ref.info.get(key)!r} {label}={cur.info.get(key)!r}"
-                )
-        if ref.schedule.transmissions != cur.schedule.transmissions:
+    ref = make_scheduler(name, compute="python").run(tveg, source, delay)
+    cur = make_scheduler(name, compute="numpy").run(tveg, source, delay)
+    for key in ("aux_nodes", "aux_edges", "dts_points", "dcs_levels",
+                "steiner_expansions", "tree_cost"):
+        if ref.info.get(key) != cur.info.get(key):
             problems.append(
-                f"{name}: schedules diverge — nx has "
-                f"{ref.schedule.num_transmissions} transmissions "
-                f"(cost {ref.schedule.total_cost!r}), {label} has "
-                f"{cur.schedule.num_transmissions} "
-                f"(cost {cur.schedule.total_cost!r})"
+                f"{name}: info[{key!r}] diverges — "
+                f"python={ref.info.get(key)!r} numpy={cur.info.get(key)!r}"
             )
+    if ref.schedule.transmissions != cur.schedule.transmissions:
+        problems.append(
+            f"{name}: schedules diverge — python has "
+            f"{ref.schedule.num_transmissions} transmissions "
+            f"(cost {ref.schedule.total_cost!r}), numpy has "
+            f"{cur.schedule.num_transmissions} "
+            f"(cost {cur.schedule.total_cost!r})"
+        )
     return problems
 
 
@@ -76,7 +63,7 @@ def main(argv=None):
             print(f"BACKEND DIVERGENCE: {p}", file=sys.stderr)
         return 1
     print("# backends agree: eedcb and fr-eedcb schedules identical under "
-          "nx, compact, and numpy")
+          "compute=python and compute=numpy")
     return 0
 
 

@@ -26,16 +26,14 @@ amortization behind :func:`repro.api.plan_broadcast_many`.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, Hashable, Optional
 
 from .. import obs
-from ..auxgraph.build import build_aux_graph
 from ..auxgraph.compact import build_compact_aux_graph
 from ..auxgraph.extract import extract_schedule
-from ..compute import canonical_compute_name, resolve_compute
+from ..compute import resolve_compute
 from ..dts.dts import build_dts
-from ..errors import InfeasibleError, SolverError
+from ..errors import InfeasibleError
 from ..schedule.reduce import lower_costs, remove_redundant, upgrade_and_prune
 from ..steiner.memt import solve_memt
 from ..steiner.sptree import tree_cost
@@ -47,43 +45,7 @@ __all__ = ["EEDCB"]
 Node = Hashable
 
 #: execution mode → the representation label reported in result ``info``
-_BACKEND_LABEL = {"python": "compact", "numpy": "numpy", "nx": "nx"}
-
-
-def _resolve_mode(backend: Optional[str], compute) -> str:
-    """Resolve the (deprecated) ``backend=`` / ``compute=`` pair to a mode.
-
-    Returns ``"nx"``, ``"python"``, or ``"numpy"``.  ``backend=`` keeps
-    working for callers that predate the compute layer, with a
-    :class:`DeprecationWarning`; an explicit ``backend="compact"`` or
-    ``backend="nx"`` without a compute spec pins the stdlib kernels, so
-    pre-existing call sites stay byte-identical run-for-run.  So does a
-    bare ``EEDCB()``: the ``"auto"`` preference for numpy is applied by
-    the API/CLI layer (:func:`repro.api.plan_broadcast`), never sprung on
-    direct constructor calls.
-    """
-    if backend is not None:
-        warnings.warn(
-            "the backend= parameter is deprecated; select kernels with "
-            "compute='python'|'numpy'|'auto' instead (backend='nx' remains "
-            "available for cross-checking the networkx construction)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if backend not in ("compact", "nx"):
-            raise SolverError(
-                f"unknown auxgraph backend {backend!r}; "
-                "choose 'compact' or 'nx'"
-            )
-    spec = None if compute is None else canonical_compute_name(compute)
-    if backend == "nx":
-        if spec == "numpy":
-            raise SolverError(
-                "backend='nx' cannot run with compute='numpy'; the networkx "
-                "construction is the stdlib parity oracle"
-            )
-        return "nx"
-    return "python" if spec is None else resolve_compute(spec)
+_BACKEND_LABEL = {"python": "compact", "numpy": "numpy"}
 
 
 @register("eedcb")
@@ -102,10 +64,10 @@ class EEDCB(Scheduler):
         :mod:`repro.compute`).  ``None`` (the default) runs the stdlib
         kernels.  Every choice produces byte-identical schedules, info
         counters, and work counts; the switch is purely about speed.
-    backend:
-        Deprecated spelling of the same choice (``"compact"`` = stdlib
-        CSR, ``"nx"`` = the networkx construction kept for
-        cross-checking); superseded by ``compute=``.
+        A bare ``EEDCB()`` stays on the stdlib kernels: the ``"auto"``
+        preference for numpy is applied by the API/CLI layer
+        (:func:`repro.api.plan_broadcast`), never sprung on direct
+        constructor calls.
     """
 
     def __init__(
@@ -114,10 +76,9 @@ class EEDCB(Scheduler):
         charikar_level: int = 2,
         reduce: bool = True,
         targets=None,
-        backend: Optional[str] = None,
         compute: Optional[str] = None,
     ):
-        self._mode = _resolve_mode(backend, compute)
+        self._mode = "python" if compute is None else resolve_compute(compute)
         self._method = memt_method
         self._level = charikar_level
         self._reduce = reduce
@@ -132,13 +93,8 @@ class EEDCB(Scheduler):
         compact-form builds are kept on the TVEG's LRU
         :meth:`~repro.tveg.graph.TVEG.aux_cache` and re-rooted with
         :meth:`~repro.auxgraph.compact.CompactAuxGraph.retarget` — a hit
-        skips the single most expensive stage of the pipeline.  The nx
-        mode is exempt (it exists to exercise the construction itself).
+        skips the single most expensive stage of the pipeline.
         """
-        if self._mode == "nx":
-            return build_aux_graph(
-                tveg, source, deadline, dts, targets=self._targets
-            )
         cache = tveg.aux_cache()
         key = (self._mode, float(deadline), self._targets)
         hit = cache.get(key)
@@ -190,12 +146,11 @@ class EEDCB(Scheduler):
                 dts = build_dts(tveg.tvg, deadline)
             with obs.stage(stage_seconds, "auxgraph", "eedcb.auxgraph"):
                 aux = self._build_aux(tveg, source, deadline, dts)
-                solver_graph = aux if self._mode != "nx" else aux.graph
             with obs.stage(
                 stage_seconds, "steiner", "eedcb.steiner", method=self._method
             ):
                 edges = solve_memt(
-                    solver_graph,
+                    aux,
                     aux.root,
                     aux.terminals,
                     method=self._method,
@@ -225,7 +180,7 @@ class EEDCB(Scheduler):
                 "dts_points": dts.total_points(),
                 "dcs_levels": aux.dcs_levels,
                 "steiner_expansions": steiner_stats.get("expansions", 0),
-                "tree_cost": tree_cost(solver_graph, edges),
+                "tree_cost": tree_cost(aux, edges),
                 "raw_cost": raw_cost,
                 "memt_method": self._method,
                 "backend": self._backend,

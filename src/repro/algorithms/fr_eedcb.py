@@ -46,14 +46,12 @@ class FREEDCB(Scheduler):
         charikar_level: int = 2,
         use_slsqp: bool = True,
         targets=None,
-        backend: Optional[str] = None,
         compute: Optional[str] = None,
     ):
         self._backbone = EEDCB(
             memt_method,
             charikar_level,
             targets=targets,
-            backend=backend,
             compute=compute,
         )
         self._use_slsqp = use_slsqp

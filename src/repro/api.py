@@ -199,8 +199,7 @@ def plan_config(
     selection is a performance knob with byte-identical output (see
     :mod:`repro.compute`), so it must never change a plan's identity —
     a numpy-planned result legitimately answers a stdlib request and
-    vice versa.  (A legacy ``backend=`` in ``scheduler_kwargs`` keeps
-    flowing into the config unchanged, as it always did.)
+    vice versa.
     """
     algo = canonical_scheduler_name(algorithm)
     if isinstance(trace_or_tveg, TVEG):
@@ -259,13 +258,9 @@ def _scheduler_kwargs_with_compute(
     """The kwargs a plan's scheduler is constructed with.
 
     Resolves ``compute`` (``None`` → ``"auto"`` → numpy when importable)
-    and injects it — except when a legacy ``backend=`` was passed and no
-    explicit ``compute=`` accompanies it, where injecting the auto choice
-    would override the semantics that legacy spelling pinned.
+    and injects it.
     """
     kwargs = dict(scheduler_kwargs)
-    if "backend" in kwargs and compute is None:
-        return kwargs
     kwargs["compute"] = resolve_compute(compute)
     return kwargs
 

@@ -1,23 +1,33 @@
-"""Flat-array (CSR) auxiliary graph — the scheduler pipeline's fast path.
+"""Flat-array (CSR) auxiliary graph — the stdlib Section VI-A construction.
 
-:func:`build_aux_graph` (the networkx construction) spends most of its time
-creating dict-of-dict adjacency and tuple node keys, only for the Steiner
-solver to immediately flatten everything back to int-indexed arrays.  This
-module skips the round trip: :func:`build_compact_aux_graph` produces a
-:class:`CompactAuxGraph` — int node ids, CSR adjacency (``indptr`` /
-``targets`` / ``weights`` stdlib arrays) — directly from the timeline-sweep
-DCS computation, and :func:`~repro.steiner.dst.greedy_incremental_dst`
-consumes it natively with no per-call re-indexing.
+:func:`build_compact_aux_graph` produces a :class:`CompactAuxGraph` — int
+node ids, CSR adjacency (``indptr`` / ``targets`` / ``weights`` stdlib
+arrays) — directly from the timeline-sweep DCS computation, and
+:func:`~repro.steiner.dst.greedy_incremental_dst` consumes it natively with
+no per-call re-indexing.  The graph (Section VI-A, Fig. 3) has:
 
-The construction mirrors :func:`build_aux_graph` *exactly*: node ids follow
-the same insertion order (all state nodes, then transmission nodes as
-created) and per-node adjacency follows the same edge insertion order
-(waiting edge first, then transmission edges by level; coverage edges in
-DCS entry order).  Because the greedy Steiner solver breaks distance ties
-by node index and adjacency order, this makes ``backend="compact"`` and
-``backend="nx"`` runs byte-identical, not merely equivalent — a property
-the equivalence suite pins down.  :meth:`CompactAuxGraph.to_networkx` /
-:func:`from_aux_graph` convert losslessly in both directions.
+* waiting edges ``u_{i,l} → u_{i,l+1}`` with weight 0 — having the packet at
+  one DTS point implies having it at the next;
+* transmit edges ``u_{i,l} → x_{i,l,k}`` with weight ``w^k_{i,t}`` — pay the
+  ``k``-th DCS level once;
+* coverage edges ``x_{i,l,k} → u_{j,f}`` with weight 0 for every ``v_j``
+  whose minimum cost at ``t_{i,l}`` is ≤ ``w^k`` — the broadcast advantage;
+  the receiver's point ``t_{j,f}`` equals ``t_{i,l} + τ`` (the paper prints
+  ``−τ``, a typo: decoding completes *after* traversal; with the paper's own
+  ``τ ≈ 0`` approximation the two coincide).
+
+Every edge moves forward in (node-local) time.  TMEDB-S is then exactly the
+directed Steiner tree problem rooted at the source's first state node with
+the terminals ``D = {u_{i, last}}``.
+
+Node ids follow a fixed order (all state nodes, then transmission nodes as
+created) and per-node adjacency a fixed edge order (waiting edge first,
+then transmission edges by level; coverage edges in DCS entry order).
+The greedy Steiner solver breaks distance ties by node index and adjacency
+order, so this order is part of the contract: the test suite's networkx
+oracle (``tests/nx_auxgraph.py``) builds the same graph in the same
+insertion order, and :meth:`CompactAuxGraph.to_networkx` converts
+losslessly for the ``sptree`` / ``charikar`` solvers and the tests.
 
 This eager builder is the ``compute="python"`` path and the
 element-for-element oracle for the numpy kernel's
@@ -32,9 +42,8 @@ are expanded on first access and cached.
 from __future__ import annotations
 
 import copy
-import math
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Tuple
 
@@ -43,12 +52,27 @@ from ..dts.dts import DiscreteTimeSet, build_dts
 from ..errors import GraphModelError
 from ..tveg.costsets import DiscreteCostSet, discrete_cost_sets
 from ..tveg.graph import TVEG
-from .build import AuxGraph, _point_index
 from .model import AuxNode, state_node, tx_node
 
-__all__ = ["CompactAuxGraph", "build_compact_aux_graph", "from_aux_graph"]
+__all__ = ["CompactAuxGraph", "build_compact_aux_graph"]
 
 Node = Hashable
+
+
+def _point_index(points: Tuple[float, ...], t: float) -> Optional[int]:
+    """Index of the EXACT value ``t`` in sorted ``points``, else None.
+
+    Exact float matching is deliberate: reception times are constructed so
+    they reproduce the receiver's stored point bit-for-bit (τ = 0 reuses the
+    sender's point; τ > 0 status points are built by iterated ``+ τ``).  A
+    tolerance here once allowed a reception to snap to an *earlier* point of
+    the receiver — sub-nanosecond time travel that produced causally
+    impossible schedules (found by the hypothesis suite).
+    """
+    i = bisect_left(points, t)
+    if i < len(points) and points[i] == t:
+        return i
+    return None
 
 
 @dataclass
@@ -57,9 +81,9 @@ class CompactAuxGraph:
 
     ``aux_nodes[i]`` is the tuple-form auxiliary node with id ``i``;
     out-edges of ``i`` are ``targets[indptr[i]:indptr[i+1]]`` with parallel
-    ``weights``.  Exposes the same decoding surface as
-    :class:`~repro.auxgraph.build.AuxGraph` (``root`` / ``terminals`` /
-    ``cost_sets`` / ``time_of``), so schedule extraction works unchanged.
+    ``weights``.  ``root`` / ``terminals`` / ``cost_sets`` / ``time_of``
+    are the decoding surface :func:`~repro.auxgraph.extract.extract_schedule`
+    reads.
     """
 
     indptr: array
@@ -74,16 +98,13 @@ class CompactAuxGraph:
     root_index: int
     terminal_indices: Tuple[int, ...]
     #: DCS per (node, point index) — reused during schedule extraction
-    cost_sets: Dict[Tuple[Node, int], DiscreteCostSet] = field(
-        default_factory=dict
-    )
+    cost_sets: Dict[Tuple[Node, int], DiscreteCostSet]
+    #: graph node → id of its first state node.  Enables :meth:`retarget`.
+    state_base: Dict[Node, int] = field(repr=False)
     _index: Optional[Dict[AuxNode, int]] = field(default=None, repr=False)
-    #: graph node → id of its first state node; filled by the builders,
-    #: ``None`` on converted graphs.  Enables :meth:`retarget`.
-    state_base: Optional[Dict[Node, int]] = field(default=None, repr=False)
 
     # ------------------------------------------------------------------
-    # sizes (same surface as AuxGraph / nx.DiGraph)
+    # sizes (same surface as nx.DiGraph)
     # ------------------------------------------------------------------
     @property
     def num_nodes(self) -> int:
@@ -156,11 +177,6 @@ class CompactAuxGraph:
         as the builder would have produced it.  This is what lets
         ``plan_broadcast_many`` pay for one build across k sources.
         """
-        if self.state_base is None:
-            raise GraphModelError(
-                "retarget requires a builder-produced graph "
-                "(state_base is unset on converted graphs)"
-            )
         if source not in self.state_base:
             raise GraphModelError(f"unknown source {source!r}")
         if targets is not None:
@@ -201,53 +217,11 @@ class CompactAuxGraph:
                 g.add_edge(u, self.aux_nodes[targets[k]], weight=weights[k])
         return g
 
-    def to_aux_graph(self) -> AuxGraph:
-        """The equivalent networkx-backed :class:`AuxGraph`."""
-        return AuxGraph(
-            graph=self.to_networkx(),
-            dts=self.dts,
-            source=self.source,
-            root=self.root,
-            terminals=self.terminals,
-            cost_sets=dict(self.cost_sets),
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"CompactAuxGraph(nodes={self.num_nodes}, "
             f"edges={self.num_edges}, terminals={len(self.terminals)})"
         )
-
-
-def from_aux_graph(aux: AuxGraph) -> CompactAuxGraph:
-    """Losslessly re-encode a networkx-backed :class:`AuxGraph` as CSR."""
-    g = aux.graph
-    nodes = list(g.nodes)
-    index = {n: i for i, n in enumerate(nodes)}
-    times = array("d", (g.nodes[n].get("time", math.nan) for n in nodes))
-    indptr = array("l", [0])
-    targets = array("l")
-    weights = array("d")
-    for n in nodes:
-        for _, v, data in g.edges(n, data=True):
-            targets.append(index[v])
-            weights.append(float(data.get("weight", 0.0)))
-        indptr.append(len(targets))
-    return CompactAuxGraph(
-        indptr=indptr,
-        targets=targets,
-        weights=weights,
-        aux_nodes=nodes,
-        times=times,
-        dts=aux.dts,
-        source=aux.source,
-        root=aux.root,
-        terminals=aux.terminals,
-        root_index=index[aux.root],
-        terminal_indices=tuple(index[t] for t in aux.terminals),
-        cost_sets=dict(aux.cost_sets),
-        _index=index,
-    )
 
 
 @obs.span("auxgraph.compact_build")
@@ -260,10 +234,14 @@ def build_compact_aux_graph(
 ) -> CompactAuxGraph:
     """Build the Section VI-A auxiliary graph directly in CSR form.
 
-    Semantically identical to :func:`~repro.auxgraph.build.build_aux_graph`
-    (same nodes, edges, weights, node/edge ordering — see module docstring)
-    but constructed from flat arrays fed by one timeline sweep per node,
-    with no networkx object graph in between.
+    For fading channels the DCS entries are the ``w0`` backbone weights
+    (Section VI-B), so the same construction drives both EEDCB and
+    FR-EEDCB's backbone-selection stage.  ``targets`` selects a multicast
+    terminal subset (default: all other nodes — the paper's broadcast);
+    this is exactly Liang's original MEMT problem.  Node and edge order
+    are fixed (see the module docstring).  The DCS at every point of one
+    node comes from a single timeline sweep (see
+    :mod:`repro.tveg.costsets`).
     """
     if not tveg.tvg.has_node(source):
         raise GraphModelError(f"unknown source {source!r}")
@@ -275,8 +253,7 @@ def build_compact_aux_graph(
     d = dts if dts is not None else build_dts(tveg.tvg, end)
     tau = tveg.tau
 
-    # State nodes first, in (node, point) order — same ids the nx build's
-    # insertion order produces.
+    # State nodes first, in (node, point) order.
     aux_nodes: List[AuxNode] = []
     times = array("d")
     state_base: Dict[Node, int] = {}
@@ -310,10 +287,13 @@ def build_compact_aux_graph(
             if dcs.is_empty:
                 continue
             t_recv = t + tau
-            # Receivers whose DTS lacks the reception point are dropped
-            # (see build_aux_graph: provably useless coverage).  The kept
-            # ones stay in DCS entry order, so they are cost-ascending and
-            # level k's coverage is a prefix of the list.
+            # Receivers whose DTS lacks the reception point are dropped:
+            # with the default trigger depth N−1 this only happens for
+            # departures at maximal depth, which no circle-free journey can
+            # extend — such coverage is provably useless (Section V's
+            # O(N³L) bound counts receptions up to depth N−1 only).  The
+            # kept ones stay in DCS entry order, so they are cost-ascending
+            # and level k's coverage is a prefix of the list.
             r_costs: List[float] = []
             r_states: List[int] = []
             for c, nbr in dcs.entries:

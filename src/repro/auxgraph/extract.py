@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, Hashable, Iterable, Set, Tuple
 
 from ..schedule.schedule import Schedule, Transmission
-from .build import AuxGraph
+from .compact import CompactAuxGraph
 from .model import AuxNode, is_tx, level_of, node_of, point_index_of
 
 __all__ = ["extract_schedule"]
@@ -25,7 +25,7 @@ Node = Hashable
 Edge = Tuple[AuxNode, AuxNode]
 
 
-def extract_schedule(aux: AuxGraph, tree_edges: Iterable[Edge]) -> Schedule:
+def extract_schedule(aux: CompactAuxGraph, tree_edges: Iterable[Edge]) -> Schedule:
     """Decode a Steiner tree (edge set) into a broadcast relay schedule."""
     edges = list(tree_edges)
     used_tx: Set[AuxNode] = set()

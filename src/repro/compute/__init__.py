@@ -4,9 +4,12 @@ The scheduler pipeline ships two interchangeable kernel sets for its hot
 stages (timeline sweeps + DCS construction, the auxiliary-graph build, and
 the greedy Steiner expansion):
 
-* ``"python"`` — the pure-stdlib implementations.  Always available; the
-  bit-for-bit parity oracle, exactly as ``backend="nx"`` is the oracle for
-  the CSR auxiliary-graph representation.
+* ``"python"`` — the pure-stdlib implementations, including the compact
+  CSR auxiliary-graph builder
+  (:func:`repro.auxgraph.compact.build_compact_aux_graph`).  Always
+  available; the bit-for-bit parity oracle for the numpy kernels (the
+  test suite keeps a networkx construction as the oracle for the CSR
+  builder in turn).
 * ``"numpy"`` — batched array implementations
   (:mod:`repro.compute.numpy_backend`).  Optional: selected only when
   numpy imports, and constructed to mirror the stdlib path *byte for

@@ -507,7 +507,7 @@ def build_numpy_aux_graph(
         # Reception state id and validity per active cell: the neighbor's
         # state at exactly t + tau, invalid when its DTS lacks that point
         # (the provably-useless coverage the stdlib builder drops too).
-        # Exact float equality, matching auxgraph.build._point_index.
+        # Exact float equality, matching auxgraph.compact._point_index.
         ok_parts: List[np.ndarray] = []
         rs_parts: List[np.ndarray] = []
         for j in range(C):

@@ -26,7 +26,7 @@ from ..allocation import (
     closed_form_allocation,
     solve_allocation,
 )
-from ..auxgraph import build_aux_graph, extract_schedule
+from ..auxgraph import build_compact_aux_graph, extract_schedule
 from ..core.rng import SeedLike
 from ..dts import build_dts
 from ..errors import InfeasibleError
@@ -98,9 +98,9 @@ def pruning_ablation(
     out: Dict[str, float] = {}
     for label, prune in (("pruned", True), ("unpruned", False)):
         dts = build_dts(tveg.tvg, 2000.0, prune=prune)
-        aux = build_aux_graph(tveg, source, 2000.0, dts)
+        aux = build_compact_aux_graph(tveg, source, 2000.0, dts)
         sched = extract_schedule(
-            aux, solve_memt(aux.graph, aux.root, aux.terminals)
+            aux, solve_memt(aux, aux.root, aux.terminals)
         )
         assert check_feasibility(tveg, sched, source, 2000.0).feasible
         out[f"{label}_aux_nodes"] = aux.num_nodes

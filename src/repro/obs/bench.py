@@ -58,7 +58,6 @@ BENCH_SCHEMA = "repro.bench/1"
 #: operations whose regression fails the gate (ROADMAP tier-1 pipeline)
 TIER1_OPS = (
     "dts_build",
-    "aux_graph_build",
     "aux_compact_build",
     "steiner_solve",
     "eedcb_run",
@@ -133,22 +132,21 @@ def _build_instance(num_nodes: int, delay: float, seed: int):
 
 def _ops(
     static, fading, source, trace, delay: float, trials: int,
-    backend: str = "compact", compute: Optional[str] = None,
+    compute: Optional[str] = None,
 ) -> List[Tuple[str, Callable[[], Optional[Dict[str, float]]]]]:
     """(name, thunk) pairs; a thunk may return a counters dict.
 
     ``compute`` selects the kernel implementation the scheduler and batch
     ops run on (``None`` → the stdlib ``"python"`` path, matching the
-    committed baselines); ``backend`` keeps selecting the ``nx``
-    cross-check representation.  All selections report identical work
-    counters, which CI cross-checks.  The aux-build and scheduler ops
+    committed baselines).  Both kernels report identical work counters,
+    which CI cross-checks.  The aux-build and scheduler ops
     clear the TVEG's DCS/cost caches before each repeat so every timing is
     a cold build — otherwise the first op to run would warm the memo for
     the rest and the numbers would depend on suite order.
     """
     from ..algorithms import make_scheduler
     from ..api import plan_broadcast, plan_broadcast_many, plan_cache_key
-    from ..auxgraph import build_aux_graph, build_compact_aux_graph
+    from ..auxgraph import build_compact_aux_graph
     from ..dts import build_dts
     from ..schedule import check_feasibility
     from ..service import Batcher, PlanCache
@@ -164,12 +162,8 @@ def _ops(
     from ..temporal.reachability import broadcast_feasible_sources
 
     kernel = compute or "python"
-    if backend == "nx" and compute is None:
-        sched_kwargs: Dict[str, Any] = {"backend": "nx"}
-    else:
-        sched_kwargs = {"compute": kernel}
     dts = build_dts(static.tvg, delay)
-    aux = build_aux_graph(static, source, delay, dts)
+    aux = build_compact_aux_graph(static, source, delay, dts)
     schedule = make_scheduler("eedcb").run(static, source, delay).schedule
     plan_cache = PlanCache()
     plan_broadcast(static, source, delay, cache=plan_cache)  # prewarm
@@ -201,11 +195,6 @@ def _ops(
         d = build_dts(static.tvg, delay)
         return {"dts_points": float(d.total_points())}
 
-    def aux_graph_build():
-        static.clear_caches()
-        a = build_aux_graph(static, source, delay, dts)
-        return {"aux_nodes": float(a.num_nodes), "aux_edges": float(a.num_edges)}
-
     def aux_compact_build():
         static.clear_caches()
         a = build_compact_aux_graph(static, source, delay, dts)
@@ -213,21 +202,21 @@ def _ops(
 
     def steiner_solve():
         stats: Dict[str, int] = {}
-        solve_memt(aux.graph, aux.root, aux.terminals, method="greedy",
+        solve_memt(aux, aux.root, aux.terminals, method="greedy",
                    stats=stats)
         return {"steiner_expansions": float(stats.get("expansions", 0))}
 
     def eedcb_run():
         static.clear_caches()
         info = make_scheduler(
-            "eedcb", **sched_kwargs
+            "eedcb", compute=kernel
         ).run(static, source, delay).info
         return {"steiner_expansions": float(info["steiner_expansions"])}
 
     def fr_eedcb_run():
         fading.clear_caches()
         info = make_scheduler(
-            "fr-eedcb", **sched_kwargs
+            "fr-eedcb", compute=kernel
         ).run(fading, source, delay).info
         return {"nlp_iterations": float(info["nlp_iterations"])}
 
@@ -245,8 +234,8 @@ def _ops(
         # (the lossy case exercises ACKs and retransmissions).  Frame and
         # retransmit totals are summed from the per-trial results, so the
         # counters are exact integers — deterministic for the fixed seed
-        # and independent of backend/compute (the schedule is
-        # byte-identical across them).
+        # and independent of compute (the schedule is byte-identical
+        # across kernels).
         s = run_protocol_trials(
             fading, schedule, source, delay, num_trials=trials, seed=1,
             keep_outcomes=True,
@@ -358,7 +347,6 @@ def _ops(
 
     return [
         ("dts_build", dts_build),
-        ("aux_graph_build", aux_graph_build),
         ("aux_compact_build", aux_compact_build),
         ("steiner_solve", steiner_solve),
         ("eedcb_run", eedcb_run),
@@ -561,7 +549,6 @@ def run_bench(
     repeats: Optional[int] = None,
     num_nodes: Optional[int] = None,
     seed: int = 99,
-    backend: str = "compact",
     compute: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Run the suite; returns the bench document (see :data:`BENCH_SCHEMA`).
@@ -571,8 +558,7 @@ def run_bench(
     time).  ``compute`` selects the kernel implementation for the
     scheduler and batch ops (``None`` → the stdlib path the committed
     baselines record; pass ``"numpy"`` to benchmark the array kernels
-    against :file:`benchmarks/baseline_numpy.json`).  ``backend`` keeps
-    selecting the ``nx`` cross-check representation.  Instrumentation is
+    against :file:`benchmarks/baseline_numpy.json`).  Instrumentation is
     forced off during timing so the numbers reflect the shipped default
     configuration.
     """
@@ -612,7 +598,7 @@ def run_bench(
     results: Dict[str, Any] = {}
     eedcb_thunk = None
     for name, thunk in _ops(static, fading, source, trace, delay, trials,
-                            backend, compute):
+                            compute):
         if name == "eedcb_run":
             eedcb_thunk = thunk
         time_op(name, thunk, r)
@@ -651,12 +637,11 @@ def run_bench(
         "schema": BENCH_SCHEMA,
         "quick": quick,
         "calibration_ms": _calibrate(),
-        "backend": backend,
         "compute": compute,
         "manifest": run_manifest(
             config={"num_nodes": n, "delay": delay, "trials": trials,
                     "repeats": r, "seed": seed, "quick": quick,
-                    "backend": backend, "compute": compute},
+                    "compute": compute},
         ),
         "results": results,
         "overhead": overhead,

@@ -24,8 +24,10 @@ Two tiers:
   document is replayed into a fresh ``BroadcastPlan``
   (:func:`repro.schedule.io.doc_to_plan`) against a TVEG the caller
   supplies lazily, and the entry is promoted back into memory.  A
-  document whose ``manifest.config_hash`` is not the key it is filed under
-  is counted as a ``disk_error`` and never served.  The disk
+  document whose ``manifest.config_hash`` is not the key it is filed under,
+  or whose content no longer matches the SHA-256 digest stored with it
+  (:func:`_content_digest`), is counted as a ``disk_error`` and never
+  served.  The disk
   tier survives process restarts, so a restarted ``repro serve`` warms up
   from its predecessor's work.
 
@@ -40,6 +42,8 @@ in-process backend's request threads call in concurrently.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import threading
 import time
@@ -96,6 +100,27 @@ class CacheStats:
 class _Entry:
     plan: Any  # BroadcastPlan (typed loosely: api imports this module's pkg)
     stored_at: float = field(default_factory=time.time)
+
+
+#: plan-document field holding the digest written by the disk tier
+_DIGEST_FIELD = "content_sha256"
+
+
+def _content_digest(doc: Dict[str, Any]) -> str:
+    """SHA-256 of a plan document's canonical JSON (sorted keys, compact
+    separators), leaving out ``cached_unix`` and the digest field itself.
+
+    The document is taken through one JSON round trip first, so the
+    digest written from the live document equals the one recomputed from
+    the file read back (tuples become lists, keys become strings).
+    """
+    body = {
+        k: v for k, v in doc.items() if k not in ("cached_unix", _DIGEST_FIELD)
+    }
+    canonical = json.dumps(
+        json.loads(json.dumps(body)), sort_keys=True, separators=(",", ":")
+    )
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _is_key(key: str) -> bool:
@@ -309,9 +334,14 @@ class PlanCache:
                 self._stats.disk_errors += 1
             return None
         manifest = doc.get("manifest")
-        if not isinstance(manifest, dict) or manifest.get("config_hash") != key:
-            # A renamed, swapped or edited file: serving it would answer
-            # this problem with some other problem's plan.
+        if (
+            not isinstance(manifest, dict)
+            or manifest.get("config_hash") != key
+            or doc.get(_DIGEST_FIELD) != _content_digest(doc)
+        ):
+            # A renamed, swapped or edited file (or one written before
+            # entries carried a digest): serving it would answer this
+            # problem with some other problem's plan, or a damaged one.
             with self._lock:
                 self._stats.disk_errors += 1
             return None
@@ -339,6 +369,7 @@ class PlanCache:
         try:
             os.makedirs(self._disk_dir, exist_ok=True)
             doc = plan_to_doc(plan)
+            doc[_DIGEST_FIELD] = _content_digest(doc)
             doc["cached_unix"] = time.time()
             path = os.path.join(self._disk_dir, key + ".json")
             tmp = path + f".tmp.{os.getpid()}.{threading.get_ident()}"

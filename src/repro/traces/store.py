@@ -18,8 +18,8 @@ over that sorted sequence.  Because every derived structure — fingerprint,
 ``pair_presence``, TVG presence sets, adjacency events, DCS floats,
 schedules — is a pure function of that ordered record sequence, the store
 is a drop-in trace backend with **byte-identical** results; the dict-backed
-``ContactTrace`` remains the parity oracle, exactly as ``backend="nx"``
-and ``compute="python"`` are for their layers.
+``ContactTrace`` remains the parity oracle, exactly as
+``compute="python"`` is for the numpy kernels.
 
 On-disk format (``repro.ctrace/1``)
 -----------------------------------

@@ -1,6 +1,7 @@
-"""Auxiliary-graph construction (Section VI-A, Fig. 3).
+"""The networkx auxiliary-graph construction — a test-only oracle.
 
-Maps TMEDB on a DTS to a minimum-energy multicast (directed Steiner) problem:
+A direct, unoptimized transcription of Section VI-A (Fig. 3) onto a
+:class:`networkx.DiGraph`:
 
 * waiting edges ``u_{i,l} → u_{i,l+1}`` with weight 0 — having the packet at
   one DTS point implies having it at the next;
@@ -8,40 +9,42 @@ Maps TMEDB on a DTS to a minimum-energy multicast (directed Steiner) problem:
   ``k``-th DCS level once;
 * coverage edges ``x_{i,l,k} → u_{j,f}`` with weight 0 for every ``v_j``
   whose minimum cost at ``t_{i,l}`` is ≤ ``w^k`` — the broadcast advantage;
-  the receiver's point ``t_{j,f}`` equals ``t_{i,l} + τ`` (the paper prints
-  ``−τ``, a typo: decoding completes *after* traversal; with the paper's own
-  ``τ ≈ 0`` approximation the two coincide).
+  the receiver's point ``t_{j,f}`` equals ``t_{i,l} + τ``.
 
-The graph is a DAG: every edge moves forward in (node-local) time.  TMEDB-S
-is then exactly the directed Steiner tree problem rooted at the source's
-first state node with the terminals ``D = {u_{i, last}}``.
+The production builders (:func:`repro.auxgraph.build_compact_aux_graph` and
+:func:`repro.compute.numpy_backend.build_numpy_aux_graph`) must reproduce
+this graph node-for-node, edge-for-edge and in the same insertion order;
+``tests/test_compact.py`` and ``tests/test_auxgraph.py`` compare against it.
+:class:`OracleEEDCB` runs the rest of the EEDCB pipeline (Steiner search,
+extraction, the three reduce passes) on the oracle graph.
 """
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, Optional, Tuple
 
 import networkx as nx
 
-from .. import obs
-from ..dts.dts import DiscreteTimeSet, build_dts
-from ..errors import GraphModelError
-from ..tveg.costsets import DiscreteCostSet, discrete_cost_sets
-from ..tveg.graph import TVEG
-from .model import AuxNode, state_node, tx_node
-
-__all__ = ["AuxGraph", "build_aux_graph"]
+from repro.algorithms.base import SchedulerResult
+from repro.auxgraph import extract_schedule, state_node, tx_node
+from repro.auxgraph.compact import _point_index
+from repro.dts.dts import DiscreteTimeSet, build_dts
+from repro.errors import GraphModelError, InfeasibleError
+from repro.schedule.reduce import lower_costs, remove_redundant, upgrade_and_prune
+from repro.steiner.memt import solve_memt
+from repro.steiner.sptree import tree_cost
+from repro.temporal.reachability import reachable_set
+from repro.tveg.costsets import DiscreteCostSet, discrete_cost_sets
+from repro.tveg.graph import TVEG
 
 Node = Hashable
-_TOL = 1e-9
+AuxNode = Tuple
 
 
 @dataclass
 class AuxGraph:
-    """The auxiliary graph plus the bookkeeping needed to decode trees."""
+    """The oracle graph plus the bookkeeping needed to decode trees."""
 
     graph: nx.DiGraph
     dts: DiscreteTimeSet
@@ -61,36 +64,16 @@ class AuxGraph:
 
     @property
     def dcs_levels(self) -> int:
-        """Total DCS levels over every (node, point) with a usable DCS."""
         return sum(len(cs) for cs in self.cost_sets.values())
 
     def time_of(self, node: Node, point_index: int) -> float:
         return self.dts.points(node)[point_index]
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"AuxGraph(nodes={self.num_nodes}, edges={self.num_edges}, "
-            f"terminals={len(self.terminals)})"
-        )
+    def to_networkx(self) -> nx.DiGraph:
+        """The graph itself (the production graphs convert to this form)."""
+        return self.graph
 
 
-def _point_index(points: Tuple[float, ...], t: float) -> Optional[int]:
-    """Index of the EXACT value ``t`` in sorted ``points``, else None.
-
-    Exact float matching is deliberate: reception times are constructed so
-    they reproduce the receiver's stored point bit-for-bit (τ = 0 reuses the
-    sender's point; τ > 0 status points are built by iterated ``+ τ``).  A
-    tolerance here once allowed a reception to snap to an *earlier* point of
-    the receiver — sub-nanosecond time travel that produced causally
-    impossible schedules (found by the hypothesis suite).
-    """
-    i = bisect_left(points, t)
-    if i < len(points) and points[i] == t:
-        return i
-    return None
-
-
-@obs.span("auxgraph.build")
 def build_aux_graph(
     tveg: TVEG,
     source: Node,
@@ -98,14 +81,7 @@ def build_aux_graph(
     dts: Optional[DiscreteTimeSet] = None,
     targets: Optional[Tuple[Node, ...]] = None,
 ) -> AuxGraph:
-    """Build the Section VI-A auxiliary graph for a TMEDB-S/-R instance.
-
-    For fading channels the DCS entries are the ``w0`` backbone weights
-    (Section VI-B), so the same construction drives both EEDCB and
-    FR-EEDCB's backbone-selection stage.  ``targets`` selects a multicast
-    terminal subset (default: all other nodes — the paper's broadcast);
-    this is exactly Liang's original MEMT problem.
-    """
+    """Build the Section VI-A auxiliary graph as a networkx DiGraph."""
     if not tveg.tvg.has_node(source):
         raise GraphModelError(f"unknown source {source!r}")
     if targets is not None:
@@ -127,8 +103,7 @@ def build_aux_graph(
         for l in range(len(pts) - 1):
             g.add_edge(state_node(node, l), state_node(node, l + 1), weight=0.0)
 
-    # Transmission and coverage edges.  The DCS at every point of one node
-    # comes from a single timeline sweep (see repro.tveg.costsets).
+    # Transmission and coverage edges.
     for node in tveg.nodes:
         pts = d.points(node)
         all_dcs = discrete_cost_sets(tveg, node, pts)
@@ -139,11 +114,8 @@ def build_aux_graph(
             if dcs.is_empty:
                 continue
             t_recv = t + tau
-            # Receivers whose DTS lacks the reception point are dropped:
-            # with the default trigger depth N−1 this only happens for
-            # departures at maximal depth, which no circle-free journey can
-            # extend — such coverage is provably useless (Section V's
-            # O(N³L) bound counts receptions up to depth N−1 only).
+            # Receivers whose DTS lacks the reception point are dropped
+            # (provably useless coverage; see repro.auxgraph.compact).
             recv_index: Dict[Node, int] = {}
             for _, nbr in dcs.entries:
                 f = _point_index(d.points(nbr), t_recv)
@@ -170,10 +142,6 @@ def build_aux_graph(
         n for n in targets if n != source
     )
     terminals = tuple(state_node(n, len(d.points(n)) - 1) for n in wanted)
-    obs.gauge("auxgraph.nodes", g.number_of_nodes())
-    obs.gauge("auxgraph.edges", g.number_of_edges())
-    obs.gauge("auxgraph.dcs_levels", sum(len(cs) for cs in cost_sets.values()))
-    obs.counter("auxgraph.builds")
     return AuxGraph(
         graph=g,
         dts=d,
@@ -182,3 +150,42 @@ def build_aux_graph(
         terminals=terminals,
         cost_sets=cost_sets,
     )
+
+
+class OracleEEDCB:
+    """EEDCB's pipeline on the oracle graph: build → greedy Steiner search →
+    extraction → the three reduce passes.
+
+    Reports the info counters the production scheduler reports, so a test
+    can compare the two runs field by field.  Drop it in as
+    ``FREEDCB._backbone`` to run FR-EEDCB's allocation on the oracle's
+    backbone.
+    """
+
+    def run(self, tveg: TVEG, source: Node, deadline: float,
+            start_time: float = 0.0) -> SchedulerResult:
+        reached = reachable_set(tveg.tvg, source, start_time, deadline)
+        missing = [n for n in tveg.nodes if n not in reached]
+        if missing:
+            raise InfeasibleError(f"no journey reaches {missing!r}")
+        dts = build_dts(tveg.tvg, deadline)
+        aux = build_aux_graph(tveg, source, deadline, dts)
+        stats: Dict[str, int] = {}
+        edges = solve_memt(aux.graph, aux.root, aux.terminals, stats=stats)
+        schedule = extract_schedule(aux, edges)
+        raw_cost = schedule.total_cost
+        schedule = remove_redundant(tveg, schedule, source, deadline)
+        schedule = upgrade_and_prune(tveg, schedule, source, deadline)
+        schedule = lower_costs(tveg, schedule, source, deadline)
+        return SchedulerResult(
+            schedule=schedule,
+            info={
+                "aux_nodes": aux.num_nodes,
+                "aux_edges": aux.num_edges,
+                "dts_points": dts.total_points(),
+                "dcs_levels": aux.dcs_levels,
+                "steiner_expansions": stats.get("expansions", 0),
+                "tree_cost": tree_cost(aux.graph, edges),
+                "raw_cost": raw_cost,
+            },
+        )

@@ -1,12 +1,12 @@
-"""Compact (CSR) auxiliary-graph backend: equivalence with the nx build.
+"""Compact (CSR) auxiliary graph: equivalence with the networkx oracle.
 
-The compact backend's contract is stronger than "same answer": the CSR
-construction must mirror the networkx build's node and edge *insertion
-order*, because the greedy Steiner solver breaks distance ties by node
-index and adjacency order.  These tests pin the full contract — graph
-equality node-for-node/edge-for-edge/weight-for-weight over random TVEGs,
-lossless round-trips, and schedule identity of the eedcb / fr-eedcb
-pipelines under both backends.
+The compact builder's contract is stronger than "same answer": the CSR
+construction must mirror the oracle's (``tests/nx_auxgraph.py``) node and
+edge *insertion order*, because the greedy Steiner solver breaks distance
+ties by node index and adjacency order.  These tests pin the full
+contract — graph equality node-for-node/edge-for-edge/weight-for-weight
+over random TVEGs, and schedule identity of the eedcb / fr-eedcb
+pipelines against the same pipeline run on the oracle graph.
 """
 
 import math
@@ -16,16 +16,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import make_scheduler
-from repro.auxgraph import (
-    build_aux_graph,
-    build_compact_aux_graph,
-    from_aux_graph,
-)
+from repro.auxgraph import build_compact_aux_graph
 from repro.dts import build_dts
-from repro.errors import GraphModelError, InfeasibleError, SolverError
+from repro.errors import GraphModelError, InfeasibleError
 from repro.steiner import solve_memt
 from repro.traces import Contact, ContactTrace
 from repro.tveg import tveg_from_trace
+
+from .nx_auxgraph import OracleEEDCB, build_aux_graph
 
 NODES = 5
 HORIZON = 120.0
@@ -54,7 +52,7 @@ def contact_traces(draw):
 
 
 def assert_same_graph(nxa, ca):
-    """Full structural identity of an AuxGraph and a CompactAuxGraph."""
+    """Full structural identity of the oracle graph and a CompactAuxGraph."""
     g1, g2 = nxa.graph, ca.to_networkx()
     assert list(g1.nodes) == list(g2.nodes)
     assert [g1.nodes[n]["time"] for n in g1] == [
@@ -82,45 +80,32 @@ def test_compact_build_equals_nx_build(trace, seed, channel):
 
 @given(contact_traces(), st.integers(0, 2**16))
 @slow
-def test_from_aux_graph_round_trip(trace, seed):
-    tveg = tveg_from_trace(trace, "static", seed=seed)
-    nxa = build_aux_graph(tveg, 0, HORIZON)
-    ca = from_aux_graph(nxa)
-    assert_same_graph(nxa, ca)
-    # ...and back again through the networkx-backed form.
-    back = ca.to_aux_graph()
-    assert list(back.graph.edges(data="weight")) == list(
-        nxa.graph.edges(data="weight")
-    )
-    assert back.terminals == nxa.terminals
-
-
-@given(contact_traces(), st.integers(0, 2**16))
-@slow
 def test_eedcb_schedules_identical_across_backends(trace, seed):
     tveg = tveg_from_trace(trace, "static", seed=seed)
     try:
-        r_nx = make_scheduler("eedcb", backend="nx").run(tveg, 0, HORIZON)
+        r_nx = OracleEEDCB().run(tveg, 0, HORIZON)
     except InfeasibleError:
         return
-    r_c = make_scheduler("eedcb", backend="compact").run(tveg, 0, HORIZON)
+    r_c = make_scheduler("eedcb", compute="python").run(tveg, 0, HORIZON)
     assert r_nx.schedule.transmissions == r_c.schedule.transmissions
     assert r_nx.info["steiner_expansions"] == r_c.info["steiner_expansions"]
     assert r_nx.info["tree_cost"] == r_c.info["tree_cost"]
     assert r_nx.info["aux_nodes"] == r_c.info["aux_nodes"]
     assert r_nx.info["aux_edges"] == r_c.info["aux_edges"]
-    assert r_nx.info["backend"] == "nx" and r_c.info["backend"] == "compact"
+    assert r_c.info["backend"] == "compact"
 
 
 @given(contact_traces(), st.integers(0, 2**16))
 @slow
 def test_fr_eedcb_schedules_identical_across_backends(trace, seed):
     tveg = tveg_from_trace(trace, "rayleigh", seed=seed)
+    fr_nx = make_scheduler("fr-eedcb")
+    fr_nx._backbone = OracleEEDCB()  # allocation runs on the oracle backbone
     try:
-        r_nx = make_scheduler("fr-eedcb", backend="nx").run(tveg, 0, HORIZON)
+        r_nx = fr_nx.run(tveg, 0, HORIZON)
     except InfeasibleError:
         return
-    r_c = make_scheduler("fr-eedcb", backend="compact").run(tveg, 0, HORIZON)
+    r_c = make_scheduler("fr-eedcb", compute="python").run(tveg, 0, HORIZON)
     assert r_nx.schedule.transmissions == r_c.schedule.transmissions
 
 
@@ -161,8 +146,10 @@ def test_compact_lookup_surface(det_static):
 
 
 def test_unknown_backend_rejected():
-    with pytest.raises(SolverError):
-        make_scheduler("eedcb", backend="csr")
+    # backend= is gone: kernels are chosen with compute= alone
+    for backend in ("csr", "nx", "compact"):
+        with pytest.raises(TypeError):
+            make_scheduler("eedcb", backend=backend)
 
 
 def test_unknown_source_and_targets_rejected(det_static):

@@ -11,8 +11,6 @@ traces, the ``plan_broadcast_many ≡ N × plan_broadcast`` equivalence, the
 ``TVEG.clear_caches`` invalidation satellite.
 """
 
-import warnings
-
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -402,17 +400,6 @@ class TestComputeResolution:
         monkeypatch.setattr(compute_mod, "_HAS_NUMPY", False)
         with pytest.raises(SolverError, match=r"repro\[fast\]"):
             resolve_compute("numpy")
-
-    def test_nx_backend_with_numpy_compute_rejected(self):
-        with pytest.raises(SolverError):
-            make_scheduler("eedcb", backend="nx", compute="numpy")
-
-    def test_legacy_backend_kwarg_deprecation_warning(self):
-        with pytest.warns(DeprecationWarning, match="compute="):
-            make_scheduler("eedcb", backend="compact")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            make_scheduler("eedcb", compute="python")  # no warning
 
     def test_bare_scheduler_stays_python(self):
         assert make_scheduler("eedcb")._mode == "python"

@@ -5,23 +5,23 @@ import math
 import pytest
 
 from repro.algorithms import make_scheduler
-from repro.auxgraph import build_aux_graph, node_of
+from repro.auxgraph import build_compact_aux_graph, node_of
 from repro.errors import GraphModelError, InfeasibleError
 from repro.schedule import check_feasibility, informed_time
 
 
 class TestAuxGraphTargets:
     def test_terminals_restricted(self, det_static):
-        aux = build_aux_graph(det_static, 0, 100.0, targets=(1, 3))
+        aux = build_compact_aux_graph(det_static, 0, 100.0, targets=(1, 3))
         assert {node_of(t) for t in aux.terminals} == {1, 3}
 
     def test_source_excluded_from_targets(self, det_static):
-        aux = build_aux_graph(det_static, 0, 100.0, targets=(0, 1))
+        aux = build_compact_aux_graph(det_static, 0, 100.0, targets=(0, 1))
         assert {node_of(t) for t in aux.terminals} == {1}
 
     def test_unknown_target_rejected(self, det_static):
         with pytest.raises(GraphModelError):
-            build_aux_graph(det_static, 0, 100.0, targets=(99,))
+            build_compact_aux_graph(det_static, 0, 100.0, targets=(99,))
 
 
 class TestMulticastEEDCB:

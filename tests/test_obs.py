@@ -270,12 +270,3 @@ class TestInstrumentedPipeline:
         assert snap.counters.get("auxgraph.compact_builds") == 1.0
         assert snap.counters.get("steiner.expansions", 0) > 0
         assert snap.gauges.get("auxgraph.nodes") == float(result.info["aux_nodes"])
-
-    def test_nx_backend_spans_and_counters_recorded(self):
-        _, tveg = make_random_instance(seed=2)
-        obs.enable()
-        result = make_scheduler("eedcb", backend="nx").run(tveg, 0, 300.0)
-        snap = obs.snapshot()
-        assert "auxgraph.build" in set(snap.span_names)
-        assert snap.counters.get("auxgraph.builds") == 1.0
-        assert snap.gauges.get("auxgraph.nodes") == float(result.info["aux_nodes"])

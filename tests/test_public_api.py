@@ -63,3 +63,22 @@ def test_submodules_importable():
     import repro.temporal
     import repro.traces
     import repro.tveg
+
+
+def test_api_reference_in_sync():
+    """docs/API.md is exactly what tools/gen_api_docs.py renders, so a
+    symbol added to or removed from an ``__all__`` cannot go stale there."""
+    import importlib.util
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "gen_api_docs", root / "tools" / "gen_api_docs.py"
+    )
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    committed = (root / "docs" / "API.md").read_text(encoding="utf-8")
+    assert gen.render() == committed, (
+        "docs/API.md is stale; regenerate it with "
+        "`python tools/gen_api_docs.py`"
+    )

@@ -175,6 +175,31 @@ class TestPlanCache:
         assert PlanCache(disk_dir=tmp_path).lookup(key, lambda: tveg) \
             is not None
 
+    def test_edited_schedule_under_right_hash_is_a_miss(self, tveg, tmp_path):
+        cache = PlanCache(disk_dir=tmp_path)
+        key = make_plan(tveg, cache).manifest["config_hash"]
+        path = tmp_path / f"{key}.json"
+        genuine = path.read_text()
+        doc = json.loads(genuine)
+        doc["schedule"][0][2] *= 0.5  # one row's cost; config_hash intact
+        assert doc["manifest"]["config_hash"] == key
+        path.write_text(json.dumps(doc))
+        fresh = PlanCache(disk_dir=tmp_path)
+        assert fresh.lookup(key, lambda: tveg) is None
+        s = fresh.stats()
+        assert s["disk_errors"] == 1 and s["misses"] == 1
+        assert s["disk_hits"] == 0
+        # an entry without a digest (written before digests) is re-planned
+        del doc["content_sha256"]
+        doc["schedule"][0][2] *= 2.0
+        path.write_text(json.dumps(doc))
+        assert PlanCache(disk_dir=tmp_path).lookup(key, lambda: tveg) is None
+        # the genuine entry is still served, byte-identical
+        path.write_text(genuine)
+        warm = PlanCache(disk_dir=tmp_path).lookup(key, lambda: tveg)
+        assert warm is not None
+        assert list(warm.schedule) == list(make_plan(tveg).schedule)
+
     def test_clear(self, tveg, tmp_path):
         cache = PlanCache(disk_dir=tmp_path)
         make_plan(tveg, cache)
@@ -534,6 +559,33 @@ class TestHTTP:
             server, "/plan", {"deadline": 600, "algorithm": "quantum"}
         )
         assert st == 400
+
+    def test_backend_scheduler_kwarg_is_rejected(self, server, monkeypatch):
+        # backend= left the schedulers: it is an unknown keyword like any
+        # other, answered 400 before any auxiliary graph is built.
+        import networkx as nx
+
+        graphs = []
+
+        class SpyDiGraph(nx.DiGraph):
+            def __init__(self, *args, **kwargs):
+                graphs.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(nx, "DiGraph", SpyDiGraph)
+        build_counters = ("auxgraph.compact_builds", "auxgraph.numpy_builds")
+        obs.enable()
+        try:
+            st, doc, _ = _request(server, "/plan", {
+                "deadline": 600, "window": 2000, "seed": 3,
+                "scheduler_kwargs": {"backend": "nx"},
+            })
+            counters = obs.snapshot().counters
+        finally:
+            obs.disable()
+        assert st == 400 and "backend" in doc["error"]
+        assert graphs == []
+        assert not any(counters.get(c) for c in build_counters)
 
     def test_overload_maps_to_429_with_retry_after(
         self, service_trace, monkeypatch

@@ -278,7 +278,8 @@ def render_module(name: str) -> str:
     return "\n".join(out)
 
 
-def main() -> None:
+def render() -> str:
+    """The full text of ``docs/API.md``."""
     parts = [
         "# API reference",
         "",
@@ -293,10 +294,17 @@ def main() -> None:
             parts.append("")
         parts.append(render_module(name))
         parts.append("")
-    target = Path(__file__).resolve().parent.parent / "docs" / "API.md"
-    target.parent.mkdir(exist_ok=True)
-    target.write_text("\n".join(parts), encoding="utf-8")
-    print(f"wrote {target}")
+    return "\n".join(parts)
+
+
+#: where :func:`main` writes the reference
+TARGET = Path(__file__).resolve().parent.parent / "docs" / "API.md"
+
+
+def main() -> None:
+    TARGET.parent.mkdir(exist_ok=True)
+    TARGET.write_text(render(), encoding="utf-8")
+    print(f"wrote {TARGET}")
 
 
 if __name__ == "__main__":
